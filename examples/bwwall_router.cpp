@@ -8,7 +8,8 @@
  * to the node that owns its canonical cache key, so a fleet of
  * clients needs no cluster awareness at all.  It is deliberately
  * stateless: no cache, no model code, one upstream exchange per
- * request.  When the owner is unreachable it walks the key's
+ * request over the pooled keep-alive connections peer fills use
+ * too.  When the owner is unreachable it walks the key's
  * rendezvous failover order (the exact map the surviving nodes
  * agree on among themselves), so killing a node mid-storm costs
  * retries, not errors.
@@ -36,6 +37,7 @@
 #include <csignal>
 #include <cstring>
 #include <iostream>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -59,11 +61,18 @@ namespace {
 /** Everything the connection threads share. */
 struct Router
 {
-    std::unique_ptr<Cluster> cluster;
+    /** Declared first so it outlives the cluster's prober thread. */
     MetricsRegistry metrics;
-    double deadlineMs = 10000.0;
-    unsigned attemptsPerNode = 2;
+    std::unique_ptr<Cluster> cluster;
     bool logRequests = false;
+};
+
+/** One client connection and the thread serving it. */
+struct Connection
+{
+    int fd = -1;
+    std::atomic<bool> done{false};
+    std::thread thread;
 };
 
 /**
@@ -148,41 +157,21 @@ routeModelQuery(Router &router, const HttpRequest &request)
     }
 
     std::string last_error;
-    for (std::size_t rank = 0; rank < order.size(); ++rank) {
-        const std::string &node = cluster.nodes()[order[rank]];
-        const std::size_t colon = node.rfind(':');
-        HttpClient client(
-            node.substr(0, colon),
-            static_cast<std::uint16_t>(
-                std::stoul(node.substr(colon + 1))));
-        client.setConnectTimeoutMs(
-            cluster.config().connectTimeoutMs);
-        client.setReadTimeoutMs(
-            static_cast<unsigned>(router.deadlineMs));
-        HttpRetryPolicy policy;
-        policy.maxAttempts = router.attemptsPerNode;
-        policy.initialBackoffMs = 10.0;
-        policy.maxBackoffMs = 100.0;
-        policy.retryPosts = true;
+    for (const std::size_t index : order) {
+        const std::string &node = cluster.nodes()[index];
         // A refused connect fails the node over immediately; the
         // health layer remembers it for the next walk.
-        policy.failFastOnRefused = true;
-        policy.budget = 1u << 20;
-        policy.seed = rendezvousHash(key) ^ rank;
-        client.setRetryPolicy(policy);
-        HttpClient::RequestOptions options;
-        options.retry = true;
-        options.deadlineMs = router.deadlineMs;
         HttpClientResponse response;
-        if (client.perform(upstream, options, &response,
-                           &last_error)) {
+        if (cluster.exchange(node, upstream,
+                             cluster.config().peerDeadlineMs,
+                             &response, &last_error)) {
             // 5xx still answers the client (the node spoke), but
             // counts against its health so a sick node is demoted.
             if (response.status >= 500)
                 cluster.notePeerFailure(node);
             else
                 cluster.notePeerSuccess(node);
-            if (order[rank] != owner_index)
+            if (index != owner_index)
                 router.metrics.addCounter("router.failovers");
             router.metrics.addCounter("router.forwarded");
             HttpResponse out;
@@ -260,7 +249,12 @@ sendAll(int fd, const std::string &wire)
     return true;
 }
 
-/** One keep-alive connection: parse, dispatch, respond, repeat. */
+/**
+ * One keep-alive connection: parse, dispatch, respond, repeat,
+ * until the client closes or the drain shuts its read side.  The
+ * fd stays open for the reaper, so a drain never shuts down a
+ * reused descriptor.
+ */
 void
 serveConnection(Router &router, int fd)
 {
@@ -297,7 +291,6 @@ serveConnection(Router &router, int fd)
             close_after)
             break;
     }
-    close(fd);
 }
 
 } // namespace
@@ -308,12 +301,10 @@ main(int argc, char **argv)
     std::string bind_address = "127.0.0.1";
     std::uint64_t port = 8090;
     std::string peers;
-    std::uint64_t peer_deadline_ms = 10000;
-    std::uint64_t peer_attempts = 2;
-    std::uint64_t connect_timeout_ms = 250;
-    std::uint64_t peer_probe_interval_ms = 1000;
-    std::uint64_t peer_failure_threshold = 3;
-    bool log_requests = false;
+    Router router;
+    ClusterConfig cluster_config;
+    cluster_config.peerDeadlineMs = 10000;
+    cluster_config.probeIntervalMs = 1000;
 
     CliParser parser("bwwall_router",
                      "consistent-hash router fronting a bwwalld "
@@ -326,24 +317,24 @@ main(int argc, char **argv)
                      "cluster membership as host:port,host:port,"
                      "... (the same list every node was started "
                      "with)");
-    parser.addOption("--peer-deadline-ms", &peer_deadline_ms,
+    parser.addOption("--peer-deadline-ms", &cluster_config.peerDeadlineMs,
                      "MS",
                      "total upstream budget per forwarded "
                      "request");
-    parser.addOption("--peer-attempts", &peer_attempts, "N",
+    parser.addOption("--peer-attempts", &cluster_config.peerAttempts, "N",
                      "attempts per node before failing over");
-    parser.addOption("--connect-timeout-ms", &connect_timeout_ms,
+    parser.addOption("--connect-timeout-ms", &cluster_config.connectTimeoutMs,
                      "MS", "per-attempt connect() bound");
     parser.addOption("--peer-probe-interval-ms",
-                     &peer_probe_interval_ms, "MS",
+                     &cluster_config.probeIntervalMs, "MS",
                      "background /healthz probe cadence; a node "
                      "whose probe fails is demoted in the walk "
                      "until one succeeds (0 = off)");
     parser.addOption("--peer-failure-threshold",
-                     &peer_failure_threshold, "N",
+                     &cluster_config.peerFailureThreshold, "N",
                      "consecutive forward failures that demote a "
                      "node");
-    parser.addFlag("--log-requests", &log_requests,
+    parser.addFlag("--log-requests", &router.logRequests,
                    "log one line per routed request");
     parser.parseOrExit(argc, argv);
 
@@ -352,32 +343,16 @@ main(int argc, char **argv)
     if (peers.empty())
         parser.usageError("--peers is required");
 
-    Router router;
-    ClusterConfig cluster_config;
     std::string peer_error;
     if (!parsePeerList(peers, &cluster_config.peers,
                        &peer_error))
         parser.usageError("--peers: " + peer_error);
-    cluster_config.peerDeadlineMs =
-        static_cast<unsigned>(peer_deadline_ms);
-    cluster_config.peerAttempts =
-        static_cast<unsigned>(peer_attempts);
-    cluster_config.connectTimeoutMs =
-        static_cast<unsigned>(connect_timeout_ms);
-    cluster_config.probeIntervalMs =
-        static_cast<unsigned>(peer_probe_interval_ms);
-    cluster_config.peerFailureThreshold =
-        static_cast<unsigned>(peer_failure_threshold);
     try {
         router.cluster = std::make_unique<Cluster>(
             cluster_config, &router.metrics);
     } catch (const BadRequest &e) {
         parser.usageError(e.what());
     }
-    router.deadlineMs = static_cast<double>(peer_deadline_ms);
-    router.attemptsPerNode =
-        static_cast<unsigned>(peer_attempts);
-    router.logRequests = log_requests;
 
     // Route SIGINT/SIGTERM to sigwait below (bwwalld's pattern).
     sigset_t signals;
@@ -413,8 +388,18 @@ main(int argc, char **argv)
                 &address_len);
 
     std::atomic<bool> stopping{false};
-    std::vector<std::thread> connections;
+    std::list<Connection> connections;
     std::mutex connections_mutex;
+    // Joins finished connection threads; the caller holds the lock.
+    const auto reap = [&connections] {
+        connections.remove_if([](Connection &connection) {
+            if (!connection.done.load())
+                return false;
+            connection.thread.join();
+            close(connection.fd);
+            return true;
+        });
+    };
     std::thread acceptor([&] {
         for (;;) {
             const int fd = accept(listen_fd, nullptr, nullptr);
@@ -427,8 +412,13 @@ main(int argc, char **argv)
             setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay,
                        sizeof(nodelay));
             std::lock_guard<std::mutex> lock(connections_mutex);
-            connections.emplace_back(
-                [&router, fd] { serveConnection(router, fd); });
+            reap();
+            Connection &connection = connections.emplace_back();
+            connection.fd = fd;
+            connection.thread = std::thread([&router, &connection] {
+                serveConnection(router, connection.fd);
+                connection.done.store(true);
+            });
         }
     });
 
@@ -449,9 +439,15 @@ main(int argc, char **argv)
     close(listen_fd);
     acceptor.join();
     {
+        // Wake idle keep-alive readers; a request in flight still
+        // gets its answer on the open write side.
         std::lock_guard<std::mutex> lock(connections_mutex);
-        for (std::thread &connection : connections)
-            connection.join();
+        for (Connection &connection : connections)
+            shutdown(connection.fd, SHUT_RD);
+        for (Connection &connection : connections) {
+            connection.thread.join();
+            close(connection.fd);
+        }
     }
     inform("bwwall_router drained: routed ",
            router.metrics.counter("router.forwarded"),

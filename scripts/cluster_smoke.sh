@@ -22,7 +22,13 @@
 #     (failover) and zero 5xx on the survivors (local fallback)
 #   - a SIGTERMed node snapshots its result cache on drain and a
 #     restart on the same port serves byte-identical warm hits from
-#     the persisted snapshot (cache.persist.loaded > 0)
+#     the persisted snapshot (cache.persist.loaded > 0); the router
+#     reconnects to the restarted node
+#   - pooled keep-alive upstream connections survive the nodes'
+#     idle sweep: after outwaiting --idle-timeout-ms, a routed
+#     answer is still the reference bytes and a fill still hits
+#   - the router drains in under a second with an idle keep-alive
+#     client connected
 #   - the survivors and the router drain cleanly on SIGTERM
 #
 # CI runs this against an AddressSanitizer build.
@@ -66,10 +72,14 @@ EOF
 peers="127.0.0.1:${node_ports[0]},127.0.0.1:${node_ports[1]},127.0.0.1:${node_ports[2]}"
 
 probe_ms=200
+# Short enough that every phase below outlives it, so the nodes'
+# idle sweep keeps closing pooled upstream connections under it.
+idle_ms=500
 for i in 0 1 2; do
     "$bwwalld" --port "${node_ports[$i]}" --threads 2 \
         --peers "$peers" --self "127.0.0.1:${node_ports[$i]}" \
         --peer-probe-interval-ms "$probe_ms" \
+        --idle-timeout-ms "$idle_ms" \
         --cache-persist-path "$work/node$i.snap" \
         >"$work/node$i.out" 2>"$work/node$i.log" &
     pids+=($!)
@@ -140,6 +150,7 @@ for i in 0 1 2; do
         fail "node $i bytes differ from the single-node reference"
     if grep -qi '^x-bwwall-peer-filled:' "$work/head$i.txt"; then
         filled=$((filled + 1))
+        filler=$i
     fi
 done
 [ "$filled" -eq 2 ] ||
@@ -152,6 +163,44 @@ grep -qi '^x-bwwall-routed-to:' <(curl -sf -D - -o /dev/null \
     -X POST -d "$solve" "$router/v1/solve") ||
     fail "router did not stamp X-BWWall-Routed-To"
 echo "== byte identity OK (owner + 2 fills, router agrees)"
+
+# --- stale pooled connections: outwait the idle sweep -----------------
+# The router and the nodes keep keep-alive upstream connections.  A
+# node's idle sweep writes an unsolicited 408 into each one it finds
+# idle and closes it; the next exchange must notice before reuse and
+# reconnect.  Route, wait past --idle-timeout-ms, route again: the
+# answer must still be the reference bytes.  A fill over such a
+# connection must still hit the owner, not fall back to a local
+# compute.
+routed_to() { # routed_to BODY -> the node the router forwarded to
+    curl -sf -D - -o /dev/null -X POST -d "$1" "$router/v1/solve" |
+        tr -d '\r' | sed -n 's/^[Xx]-[Bb][Ww][Ww]all-[Rr]outed-[Tt]o: //p'
+}
+owner=$(routed_to "$solve")
+[ -n "$owner" ] || fail "router did not say where it routed"
+# A second key with the same owner, which node $filler must fill.
+stale_fill=""
+for k in $(seq 1 60); do
+    candidate="{\"alpha\":0.$((600 + k))}"
+    if [ "$(routed_to "$candidate")" = "$owner" ]; then
+        stale_fill=$candidate
+        break
+    fi
+done
+[ -n "$stale_fill" ] || fail "no second key owned by $owner"
+sleep 1 # past idle_ms plus one 250 ms sweep period
+code=$(curl -s -o "$work/stale_router.json" -w '%{http_code}' \
+    -X POST -d "$solve" "$router/v1/solve")
+[ "$code" = 200 ] ||
+    fail "routing after the idle sweep answered $code"
+cmp -s "$work/ref.json" "$work/stale_router.json" ||
+    fail "routed bytes after the idle sweep differ from the reference"
+curl -sf -D "$work/stale_head.txt" -o /dev/null -X POST \
+    -d "$stale_fill" "$(node "$filler")/v1/solve" ||
+    fail "fill after the idle sweep failed"
+grep -qi '^x-bwwall-peer-filled:' "$work/stale_head.txt" ||
+    fail "node $filler fell back to a local compute after the idle sweep"
+echo "== stale pooled connections OK (routed and filled after the idle sweep)"
 
 # --- hot-key storm: one compute cluster-wide --------------------------
 metrics_value() { # metrics_value FILE COUNTER
@@ -300,6 +349,18 @@ curl -sf -X POST -d "$warm" "$(node 1)/v1/solve" \
     >"$work/warm_before.json"
 grep -q '"supportable_cores"' "$work/warm_before.json" ||
     fail "pre-restart solve failed"
+# Route a key node 1 owns first, so the router holds a pooled
+# connection to the process about to go away.
+node1="127.0.0.1:${node_ports[1]}"
+restart_key=""
+for k in $(seq 1 60); do
+    candidate="{\"alpha\":0.$((700 + k))}"
+    if [ "$(routed_to "$candidate")" = "$node1" ]; then
+        restart_key=$candidate
+        break
+    fi
+done
+[ -n "$restart_key" ] || fail "no key routed to node 1"
 kill -TERM "${pids[1]}"
 status=0
 wait "${pids[1]}" || status=$?
@@ -309,6 +370,7 @@ wait "${pids[1]}" || status=$?
 "$bwwalld" --port "${node_ports[1]}" --threads 2 \
     --peers "$peers" --self "127.0.0.1:${node_ports[1]}" \
     --peer-probe-interval-ms "$probe_ms" \
+    --idle-timeout-ms "$idle_ms" \
     --cache-persist-path "$work/node1.snap" \
     >"$work/node1_restart.out" 2>"$work/node1_restart.log" &
 pids[1]=$!
@@ -326,13 +388,47 @@ curl -sf "$(node 1)/metrics?format=json" >"$work/m1_after.json"
 hits_after=$(metrics_value "$work/m1_after.json" cache.hits)
 [ "$hits_after" -gt "$hits_before" ] ||
     fail "post-restart answer was not a warm cache hit"
-echo "== warm restart OK ($loaded entries reloaded, byte-identical warm hit)"
+# The router's pooled connection led to the old process: it must
+# reconnect to the new one, never answer 502.
+wait_state "$router" "$node1" closed ||
+    fail "the router never reinstated the restarted node"
+code=$(curl -s -D "$work/restart_head.txt" \
+    -o "$work/restart_routed.json" -w '%{http_code}' \
+    -X POST -d "$restart_key" "$router/v1/solve")
+[ "$code" = 200 ] ||
+    fail "routing to the restarted node answered $code"
+grep -qi "^x-bwwall-routed-to: $node1" "$work/restart_head.txt" ||
+    fail "the router did not route to the restarted node"
+curl -sf -X POST -d "$restart_key" "$single/v1/solve" \
+    >"$work/restart_ref.json"
+cmp -s "$work/restart_ref.json" "$work/restart_routed.json" ||
+    fail "routed bytes after the restart differ from the reference"
+echo "== warm restart OK ($loaded entries reloaded, byte-identical warm hit, router reconnected)"
+
+# --- router drain with an idle keep-alive client ---------------------
+# A connected client that never sends a request must not hold the
+# router's drain open.
+exec {idle_client}<>"/dev/tcp/127.0.0.1/$router_port"
+sleep 0.2 # let the router accept it
+kill -TERM "$router_pid"
+for _ in $(seq 1 20); do
+    kill -0 "$router_pid" 2>/dev/null || break
+    sleep 0.05
+done
+if kill -0 "$router_pid" 2>/dev/null; then
+    fail "router still draining after 1 s with an idle client connected"
+fi
+status=0
+wait "$router_pid" || status=$?
+exec {idle_client}>&-
+[ "$status" -eq 0 ] || fail "router drained with status $status"
+echo "== router drain OK (under 1 s with an idle client connected)"
 
 # --- graceful drain ---------------------------------------------------
-for pid in "${pids[0]}" "${pids[1]}" "${pids[3]}" "$router_pid"; do
+for pid in "${pids[0]}" "${pids[1]}" "${pids[3]}"; do
     kill -TERM "$pid" 2>/dev/null || true
 done
-for pid in "${pids[0]}" "${pids[1]}" "${pids[3]}" "$router_pid"; do
+for pid in "${pids[0]}" "${pids[1]}" "${pids[3]}"; do
     status=0
     wait "$pid" || status=$?
     [ "$status" -eq 0 ] || fail "pid $pid drained with status $status"

@@ -13,7 +13,10 @@ namespace bwwall {
 
 namespace {
 
-/** Clients kept warm per peer; extra concurrent fills reconnect. */
+/**
+ * Idle connections kept per peer; a burst of more concurrent
+ * exchanges than this connects afresh and drops the extras after.
+ */
 constexpr std::size_t kPoolDepth = 4;
 
 /** Splits "host:port"; false unless both halves are usable. */
@@ -122,9 +125,7 @@ Cluster::Cluster(ClusterConfig config, MetricsRegistry *metrics)
         metrics_->setGauge("cluster.enabled",
                            enabled() ? 1.0 : 0.0);
     }
-    for (const std::string &node : nodes_)
-        pools_.emplace_back(
-            node, std::vector<std::unique_ptr<HttpClient>>());
+    pools_.resize(nodes_.size());
     if (metrics_ != nullptr)
         metrics_->setGauge("cluster.health.peers_down", 0.0);
     bool has_remote = false;
@@ -152,48 +153,60 @@ Cluster::count(const char *name) const
         metrics_->addCounter(name);
 }
 
+Cluster::ClientPool *
+Cluster::poolFor(const std::string &peer)
+{
+    const auto it =
+        std::lower_bound(nodes_.begin(), nodes_.end(), peer);
+    if (it == nodes_.end() || *it != peer)
+        return nullptr;
+    return &pools_[static_cast<std::size_t>(it - nodes_.begin())];
+}
+
 std::unique_ptr<HttpClient>
 Cluster::acquireClient(const std::string &peer)
 {
     std::uint64_t sequence = 0;
+    std::unique_ptr<HttpClient> client;
     {
         std::lock_guard<std::mutex> lock(poolMutex_);
-        sequence = ++fillSequence_;
-        for (auto &pool : pools_) {
-            if (pool.first != peer)
-                continue;
-            if (!pool.second.empty()) {
-                auto client = std::move(pool.second.back());
-                pool.second.pop_back();
-                return client;
-            }
-            break;
+        sequence = ++clientSequence_;
+        ClientPool *pool = poolFor(peer);
+        if (pool != nullptr && !pool->empty()) {
+            client = std::move(pool->back());
+            pool->pop_back();
         }
+    }
+    if (client != nullptr) {
+        if (client->dropStaleConnection())
+            count("cluster.upstream.stale_dropped");
+        return client;
     }
     std::string host;
     std::uint16_t port = 0;
     if (!splitHostPort(peer, &host, &port))
         return nullptr;
-    auto client = std::make_unique<HttpClient>(host, port);
+    client = std::make_unique<HttpClient>(host, port);
     client->setConnectTimeoutMs(config_.connectTimeoutMs);
     // Bound the read too: a SIGSTOPped peer accepts the connect
-    // but never answers, and without this the fill would hold its
-    // compute slot until the caller's client gave up.
+    // but never answers, and without this the exchange would hold
+    // its caller until the caller's own client gave up.
     client->setReadTimeoutMs(config_.peerDeadlineMs);
     HttpRetryPolicy policy;
     policy.maxAttempts = config_.peerAttempts;
     policy.initialBackoffMs = 10.0;
     policy.maxBackoffMs = 100.0;
-    // Deterministic per-client jitter stream; fills are few and
-    // bounded, so the lifetime budget never throttles a storm.
+    // Deterministic per-client jitter stream; the lifetime budget
+    // is sized never to throttle a storm.
     policy.seed = rendezvousMix(config_.seed ^ sequence);
     policy.budget = 1u << 20;
-    // A fill POST is safe to retry: model queries are pure and the
+    // Model-query POSTs are safe to retry: they are pure, and the
     // owner's single-flight cache dedupes re-sent work.
     policy.retryPosts = true;
     // But a refused connect is not worth a second try within one
-    // fill — the owner's process is gone; fall back to the local
-    // compute and let the breaker/prober handle reinstatement.
+    // exchange — the peer's process is gone; the caller fails over
+    // or computes locally, and the breaker/prober handle
+    // reinstatement.
     policy.failFastOnRefused = true;
     client->setRetryPolicy(policy);
     return client;
@@ -204,13 +217,53 @@ Cluster::releaseClient(const std::string &peer,
                        std::unique_ptr<HttpClient> client)
 {
     std::lock_guard<std::mutex> lock(poolMutex_);
-    for (auto &pool : pools_) {
-        if (pool.first != peer)
-            continue;
-        if (pool.second.size() < kPoolDepth)
-            pool.second.push_back(std::move(client));
-        return;
+    ClientPool *pool = poolFor(peer);
+    if (pool != nullptr && pool->size() < kPoolDepth)
+        pool->push_back(std::move(client));
+}
+
+bool
+Cluster::exchange(const std::string &peer,
+                  const HttpClient::Request &request,
+                  double deadlineMs, HttpClientResponse *out,
+                  std::string *error,
+                  HttpClient::FailureKind *failure)
+{
+    std::unique_ptr<HttpClient> client = acquireClient(peer);
+    if (client == nullptr) {
+        if (error != nullptr)
+            *error = "peer '" + peer + "' is not host:port";
+        if (failure != nullptr)
+            *failure = HttpClient::FailureKind::Other;
+        return false;
     }
+    const bool reused = client->connected();
+    const std::uint64_t connects_before = client->connects();
+    HttpClient::RequestOptions options;
+    options.retry = true;
+    options.deadlineMs = deadlineMs;
+    bool transported =
+        client->perform(request, options, out, error);
+    if (transported && reused && out->status == 408 &&
+        client->connects() == connects_before) {
+        // The idle sweep fired between the staleness check and our
+        // send: that 408 answers no request of ours, and the sweep
+        // closed the connection, so resend once on a fresh one.
+        count("cluster.upstream.stale_dropped");
+        transported = client->perform(request, options, out, error);
+    }
+    if (metrics_ != nullptr &&
+        client->connects() != connects_before)
+        metrics_->addCounter("cluster.upstream.connects",
+                             client->connects() - connects_before);
+    if (failure != nullptr)
+        *failure = client->lastFailureKind();
+    // Only a connection that just carried a whole exchange and is
+    // still open goes back: a transport error leaves it unusable,
+    // and a Connection: close answer has already closed it.
+    if (transported && client->connected())
+        releaseClient(peer, std::move(client));
+    return transported;
 }
 
 Breaker &
@@ -226,21 +279,32 @@ Cluster::healthFor(const std::string &peer)
 }
 
 void
-Cluster::noteHealthEventLocked(BreakerEvent event)
+Cluster::noteHealthEventLocked(const std::string &peer,
+                               BreakerEvent event)
 {
-    if (metrics_ == nullptr)
-        return;
     switch (event) {
       case BreakerEvent::Opened:
-      case BreakerEvent::Reopened:
-        metrics_->addCounter("cluster.health.ejections");
+      case BreakerEvent::Reopened: {
+        // An ejected peer's idle connections lead to a process that
+        // is dead, wedged, or about to restart: close them now
+        // rather than trip over them after reinstatement.
+        ClientPool idle;
+        {
+            std::lock_guard<std::mutex> lock(poolMutex_);
+            if (ClientPool *pool = poolFor(peer))
+                idle.swap(*pool);
+        }
+        count("cluster.health.ejections");
         break;
+      }
       case BreakerEvent::Closed:
-        metrics_->addCounter("cluster.health.reinstatements");
+        count("cluster.health.reinstatements");
         break;
       case BreakerEvent::None:
         return;
     }
+    if (metrics_ == nullptr)
+        return;
     double down = 0.0;
     for (const auto &entry : health_)
         if (entry.second.state() != BreakerState::Closed)
@@ -268,7 +332,7 @@ void
 Cluster::notePeerSuccess(const std::string &peer)
 {
     std::lock_guard<std::mutex> lock(healthMutex_);
-    noteHealthEventLocked(healthFor(peer).recordSuccess(
+    noteHealthEventLocked(peer, healthFor(peer).recordSuccess(
         Breaker::Clock::now()));
 }
 
@@ -276,7 +340,7 @@ void
 Cluster::notePeerFailure(const std::string &peer)
 {
     std::lock_guard<std::mutex> lock(healthMutex_);
-    noteHealthEventLocked(healthFor(peer).recordFailure(
+    noteHealthEventLocked(peer, healthFor(peer).recordFailure(
         Breaker::Clock::now()));
 }
 
@@ -314,7 +378,7 @@ Cluster::probePeersOnce()
         const auto now = Breaker::Clock::now();
         std::lock_guard<std::mutex> lock(healthMutex_);
         Breaker &breaker = healthFor(node);
-        noteHealthEventLocked(healthy ? breaker.reset(now)
+        noteHealthEventLocked(node, healthy ? breaker.reset(now)
                                       : breaker.trip(now));
     }
 }
@@ -367,39 +431,26 @@ Cluster::fillFromPeer(const std::string &peer,
         return false;
     }
 
-    auto client = acquireClient(peer);
-    if (client == nullptr) {
-        count("cluster.peer_fill.errors");
-        return false;
-    }
     HttpClient::Request request;
     request.method = "POST";
     request.target = path;
     request.headers[kPeerFillHeader] = std::string("1");
     request.body = body;
-    HttpClient::RequestOptions options;
-    options.retry = true;
-    options.deadlineMs = deadline_ms;
     HttpClientResponse response;
     std::string error;
-    const bool transported =
-        client->perform(request, options, &response, &error);
-    if (transported)
-        notePeerSuccess(peer);
-    else
+    HttpClient::FailureKind failure = HttpClient::FailureKind::None;
+    if (!exchange(peer, request, deadline_ms, &response, &error,
+                  &failure)) {
         notePeerFailure(peer);
-    if (transported)
-        releaseClient(peer, std::move(client));
-    if (!transported) {
         // An outright refusal means nobody is listening — a crash
         // or restart, not load — and perform() gave up without
         // burning a retry attempt (failFastOnRefused).
-        count(client->lastFailureKind() ==
-                      HttpClient::FailureKind::ConnectRefused
+        count(failure == HttpClient::FailureKind::ConnectRefused
                   ? "cluster.peer_fill.refused"
                   : "cluster.peer_fill.errors");
         return false;
     }
+    notePeerSuccess(peer);
     if (response.status != 200 ||
         response.headers.count("x-bwwall-degraded") != 0 ||
         response.headers.count("x-bwwall-stale") != 0) {
@@ -484,6 +535,8 @@ Cluster::statusJson() const
             "cluster.health.probe_failures",
             "cluster.health.ejections",
             "cluster.health.reinstatements",
+            "cluster.upstream.connects",
+            "cluster.upstream.stale_dropped",
         };
         for (const char *name : kStats)
             stats.set(name,

@@ -41,12 +41,12 @@
 #include <vector>
 
 #include "server/http.hh"
+#include "server/http_client.hh"
 #include "util/breaker.hh"
 #include "util/rendezvous.hh"
 
 namespace bwwall {
 
-class HttpClient;
 class JsonValue;
 class MetricsRegistry;
 
@@ -126,9 +126,10 @@ bool parsePeerList(const std::string &text,
 
 /**
  * One node's (or the router's) cluster brain: the shard map plus
- * the peer-fill client pool.  Query methods are pure and
- * lock-free; fillFromPeer() is thread-safe and internally pools
- * one keep-alive HttpClient per peer per concurrent fill.
+ * the upstream connection pool.  Query methods are pure and
+ * lock-free; exchange() and fillFromPeer() are thread-safe and
+ * pool one keep-alive HttpClient per peer per concurrent
+ * exchange.
  */
 class Cluster
 {
@@ -195,6 +196,31 @@ class Cluster
     }
 
     /**
+     * One request to @p peer over a pooled keep-alive connection:
+     * the one upstream path under both peer fills and the router's
+     * forwards.  Runs HttpClient::perform() with retry under the
+     * configured attempts, connect timeout, and a read bound of
+     * peerDeadlineMs, within @p deadlineMs in total.
+     *
+     * A pooled connection is checked before reuse and dropped if
+     * the peer has written to it or closed it (a bwwalld idle sweep
+     * writes an unsolicited 408, then closes; a restarted peer left
+     * it at EOF) — cluster.upstream.stale_dropped.  A connection is
+     * also dropped after a transport error or a Connection: close,
+     * and a peer's idle connections close when its breaker opens.
+     * Every new connection counts cluster.upstream.connects.
+     *
+     * Returns perform()'s transport verdict, with *failure (when
+     * given) classifying a failed one.  Peer health is the
+     * caller's to record: a fill and a forward judge a 5xx apart.
+     */
+    bool exchange(const std::string &peer,
+                  const HttpClient::Request &request,
+                  double deadlineMs, HttpClientResponse *out,
+                  std::string *error,
+                  HttpClient::FailureKind *failure = nullptr);
+
+    /**
      * One bounded peer-fill RPC: POST @p body to @p peer at
      * @p path, marked with kPeerFillHeader, under the stricter of
      * the configured peer deadline and @p remainingSeconds
@@ -252,7 +278,13 @@ class Cluster
     const ClusterConfig &config() const { return config_; }
 
   private:
-    /** A pooled keep-alive client for @p peer (pop or create). */
+    using ClientPool = std::vector<std::unique_ptr<HttpClient>>;
+
+    /**
+     * A pooled keep-alive client for @p peer, its connection
+     * checked for staleness (pop or create; null for an unusable
+     * peer).
+     */
     std::unique_ptr<HttpClient>
     acquireClient(const std::string &peer);
 
@@ -260,17 +292,22 @@ class Cluster
     void releaseClient(const std::string &peer,
                        std::unique_ptr<HttpClient> client);
 
+    /** @p peer's slot in pools_ (null for a non-member). */
+    ClientPool *poolFor(const std::string &peer);
+
     void count(const char *name) const;
 
     /** @p peer's breaker, created closed on first touch. */
     Breaker &healthFor(const std::string &peer);
 
     /**
-     * Counts a breaker transition (cluster.health.ejections /
-     * .reinstatements) and refreshes the peers_down gauge.
-     * Callers hold healthMutex_.
+     * Counts a breaker transition of @p peer
+     * (cluster.health.ejections / .reinstatements), refreshes the
+     * peers_down gauge, and closes an ejected peer's idle pooled
+     * connections.  Callers hold healthMutex_.
      */
-    void noteHealthEventLocked(BreakerEvent event);
+    void noteHealthEventLocked(const std::string &peer,
+                               BreakerEvent event);
 
     /** The prober thread body: probe, sleep, repeat. */
     void proberLoop();
@@ -280,11 +317,9 @@ class Cluster
     MetricsRegistry *metrics_;
 
     mutable std::mutex poolMutex_;
-    std::vector<
-        std::pair<std::string,
-                  std::vector<std::unique_ptr<HttpClient>>>>
-        pools_;
-    std::uint64_t fillSequence_ = 0;
+    /** One pool per member, in nodes() order. */
+    std::vector<ClientPool> pools_;
+    std::uint64_t clientSequence_ = 0;
 
     mutable std::mutex healthMutex_;
     std::map<std::string, Breaker> health_;

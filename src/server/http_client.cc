@@ -59,6 +59,21 @@ HttpClient::disconnect()
 }
 
 bool
+HttpClient::dropStaleConnection()
+{
+    if (fd_ < 0)
+        return false;
+    char byte = 0;
+    const ssize_t n =
+        ::recv(fd_, &byte, 1, MSG_PEEK | MSG_DONTWAIT);
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK) &&
+        buffer_.empty())
+        return false; // quiet and open: safe to reuse
+    disconnect();
+    return true;
+}
+
+bool
 HttpClient::connectOne(int fd, const void *address,
                        unsigned addressLen, std::string *failure)
 {
@@ -151,6 +166,7 @@ HttpClient::connect(std::string *error)
         if (connectOne(fd, entry->ai_addr, entry->ai_addrlen,
                        &failure)) {
             fd_ = fd;
+            ++connects_;
             break;
         }
         ::close(fd);

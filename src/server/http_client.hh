@@ -290,6 +290,19 @@ class HttpClient
 
     bool connected() const { return fd_ >= 0; }
 
+    /**
+     * Checks an idle keep-alive connection without blocking before
+     * it is reused.  A server that has already written to it or
+     * closed it (bwwalld's idle sweep writes an unsolicited 408 and
+     * then closes) would otherwise hand that stale answer to the
+     * next request.  Such a connection is dropped, so the next
+     * perform() reconnects; returns true when one was dropped.
+     */
+    bool dropStaleConnection();
+
+    /** Successful connects over this client's life. */
+    std::uint64_t connects() const { return connects_; }
+
   private:
     bool connect(std::string *error);
     bool connectOne(int fd, const void *address,
@@ -317,6 +330,7 @@ class HttpClient
     FailureKind lastFailure_ = FailureKind::None;
     HttpRetryPolicy retryPolicy_;
     unsigned retriesUsed_ = 0;
+    std::uint64_t connects_ = 0;
     std::uint64_t jitterState_ = 0;
     std::string buffer_;
 };

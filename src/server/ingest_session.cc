@@ -1,5 +1,6 @@
 #include "server/ingest_session.hh"
 
+#include <atomic>
 #include <utility>
 #include <vector>
 
@@ -54,7 +55,18 @@ struct IngestSessionManager::Session
     double advisorTotalCeas = 32.0;
     double advisorTrafficBudget = 1.0;
 
-    Clock::time_point lastTouched{};
+    /**
+     * Last use, as a steady-clock tick count.  Atomic because the
+     * sweep reads it under the manager's lock while appends and
+     * snapshots write it under the session's own.
+     */
+    std::atomic<Clock::rep> lastTouched{0};
+
+    void
+    touch()
+    {
+        lastTouched.store(Clock::now().time_since_epoch().count());
+    }
 };
 
 /**
@@ -128,7 +140,7 @@ class IngestSessionManager::AppendSink : public HttpStreamSink
         completed_ = true;
         std::lock_guard<std::mutex> lock(session_->mutex);
         session_->appendCount += 1;
-        session_->lastTouched = Clock::now();
+        session_->touch();
         manager_->metrics_->addCounter("ingest.appends");
 
         JsonValue payload = JsonValue::makeObject();
@@ -184,9 +196,11 @@ IngestSessionManager::sweepExpired()
         std::lock_guard<std::mutex> lock(mutex_);
         for (auto it = sessions_.begin();
              it != sessions_.end();) {
+            const Clock::duration last(
+                it->second->lastTouched.load());
             const double idle =
                 std::chrono::duration<double>(
-                    now - it->second->lastTouched)
+                    now - Clock::time_point(last))
                     .count();
             if (idle > config_.ttlSeconds) {
                 it = sessions_.erase(it);
@@ -286,7 +300,7 @@ IngestSessionManager::create(const JsonValue &request)
         session->id = id;
         session->advisorTotalCeas = total_ceas;
         session->advisorTrafficBudget = traffic_budget;
-        session->lastTouched = Clock::now();
+        session->touch();
         sessions_.emplace(id, session);
         publishActiveGauge(sessions_.size());
     }
@@ -344,7 +358,7 @@ IngestSessionManager::openAppend(const std::string &id,
         return nullptr;
     }
     session->appendInProgress = true;
-    session->lastTouched = Clock::now();
+    session->touch();
     return std::make_unique<AppendSink>(this, session);
 }
 
@@ -462,7 +476,7 @@ IngestSessionManager::snapshot(const std::string &id,
              "injected fault: ingest.snapshot"});
 
     std::lock_guard<std::mutex> lock(session->mutex);
-    session->lastTouched = Clock::now();
+    session->touch();
     metrics_->addCounter("ingest.snapshots");
     const StreamingSnapshot live = session->estimator.snapshot();
     JsonValue payload = snapshotPayload(
@@ -503,7 +517,7 @@ IngestSessionManager::finalize(const std::string &id)
             session->decoder.finish(&records);
         if (!flushed.ok()) {
             session->state = Session::Failed;
-            session->lastTouched = Clock::now();
+            session->touch();
             return httpErrorResponseFor(flushed.error());
         }
         session->estimator.append(records);
@@ -511,7 +525,7 @@ IngestSessionManager::finalize(const std::string &id)
     } else {
         session->state = Session::Finalized;
     }
-    session->lastTouched = Clock::now();
+    session->touch();
     metrics_->addCounter("ingest.sessions_finalized");
 
     const StreamingSnapshot live = session->estimator.snapshot();

@@ -483,11 +483,13 @@ HttpReactor::pumpRequests(Shard &shard, Conn *conn, bool eof)
         item.request = std::move(request);
         item.received = received;
         inflight_.fetch_add(1, std::memory_order_relaxed);
+        queued_.fetch_add(1);
         conn->computing = true;
         shard.outstanding += 1;
         if (!computeQueue_->tryPush(std::move(item))) {
             // The compute queue itself is the capacity backstop.
             inflight_.fetch_sub(1, std::memory_order_relaxed);
+            queued_.fetch_sub(1);
             conn->computing = false;
             shard.outstanding -= 1;
             shedRequest(shard, conn);
@@ -754,12 +756,19 @@ HttpReactor::computeLoop()
                 continue;
             return; // the semaphore is gone; we are shutting down
         }
+        // A failed pop does not make the token spurious: with
+        // several shards pushing, the head cell can be claimed but
+        // not yet published while a later item and its token are
+        // already visible.  Dropping the token would strand that
+        // item, so keep it and retry; only a token that finds
+        // nothing queued at all is a stop token.
         WorkItem item;
-        if (!computeQueue_->tryPop(&item)) {
-            if (stopping())
-                return; // a stop token
-            continue;
+        while (!computeQueue_->tryPop(&item)) {
+            if (stopping() && queued_.load() == 0)
+                return;
+            std::this_thread::yield();
         }
+        queued_.fetch_sub(1);
 
         std::string wire;
         bool close = false;

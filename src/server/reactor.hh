@@ -271,6 +271,8 @@ class HttpReactor
     std::atomic<bool> joined_{false};
     std::atomic<unsigned> connCount_{0};
     std::atomic<unsigned> inflight_{0};
+    /** Work items pushed (or being pushed) and not yet popped. */
+    std::atomic<std::size_t> queued_{0};
     std::atomic<std::uint64_t> nextConnId_{1};
     std::atomic<unsigned> nextShard_{0};
 };

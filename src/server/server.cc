@@ -562,12 +562,14 @@ BwwallServer::dispatch(const HttpRequest &request,
     }
 
     const double elapsed = secondsSince(received);
-    // Pattern routes aggregate under the route's path so per-id
-    // URLs cannot grow the registry without bound.
+    // Pattern routes aggregate under the route's path, and every
+    // unmatched path under one "unknown" key, so neither per-id
+    // URLs nor probes of random paths can grow the registry
+    // without bound.
     const std::string endpoint =
         "server.endpoint." + (route != nullptr
                                   ? std::string(route->path)
-                                  : request.path);
+                                  : std::string("unknown"));
     metrics_.addCounter(endpoint + ".requests");
     metrics_.observeHistogram(endpoint + ".latency_seconds",
                               elapsed);

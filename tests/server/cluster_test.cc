@@ -9,6 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <memory>
 #include <string>
@@ -20,6 +25,7 @@
 #include "server/json.hh"
 #include "server/model_service.hh"
 #include "server/server.hh"
+#include "util/metrics.hh"
 
 namespace bwwall {
 namespace {
@@ -171,6 +177,7 @@ class ClusterWireTest : public testing::Test
         ServerConfig config;
         config.port = 0;
         config.threads = 2;
+        config.idleTimeoutMs = idleTimeoutMs_;
         a_ = std::make_unique<BwwallServer>(config);
         b_ = std::make_unique<BwwallServer>(config);
         single_ = std::make_unique<BwwallServer>(config);
@@ -207,8 +214,17 @@ class ClusterWireTest : public testing::Test
     std::string
     bodyOwnedBy(const BwwallServer &node, const std::string &self)
     {
+        return bodiesOwnedBy(node, self, 1).front();
+    }
+
+    /** @p count distinct solve bodies the given node owns. */
+    std::vector<std::string>
+    bodiesOwnedBy(const BwwallServer &node, const std::string &self,
+                  std::size_t count)
+    {
         const auto cluster = node.clusterSnapshot();
-        for (int i = 0; i < 200; ++i) {
+        std::vector<std::string> bodies;
+        for (int i = 0; i < 400 && bodies.size() < count; ++i) {
             const std::string text =
                 "{\"alpha\":0." + std::to_string(100 + i) + "}";
             JsonValue body;
@@ -217,10 +233,13 @@ class ClusterWireTest : public testing::Test
             const std::string key =
                 canonicalCacheKey("/v1/solve", body);
             if (cluster->owner(key) == self)
-                return text;
+                bodies.push_back(text);
         }
-        ADD_FAILURE() << "no key owned by " << self;
-        return "{}";
+        if (bodies.size() < count) {
+            ADD_FAILURE() << "too few keys owned by " << self;
+            bodies.resize(count, "{}");
+        }
+        return bodies;
     }
 
     HttpClientResponse
@@ -237,6 +256,8 @@ class ClusterWireTest : public testing::Test
         return response;
     }
 
+    /** The nodes' --idle-timeout-ms (the daemon's default). */
+    unsigned idleTimeoutMs_ = 5000;
     std::unique_ptr<BwwallServer> a_;
     std::unique_ptr<BwwallServer> b_;
     std::unique_ptr<BwwallServer> single_;
@@ -356,19 +377,8 @@ TEST_F(ClusterWireTest, DeadOwnerFallsBackToLocalCompute)
 TEST_F(ClusterWireTest, RepeatedRefusalsEjectThePeer)
 {
     // Distinct bodies B owns, so every request is a fresh fill.
-    std::vector<std::string> bodies;
-    const auto cluster_view = a_->clusterSnapshot();
-    for (int i = 0; i < 400 && bodies.size() < 5; ++i) {
-        const std::string text =
-            "{\"alpha\":0." + std::to_string(100 + i) + "}";
-        JsonValue body;
-        std::string error;
-        ASSERT_TRUE(JsonValue::parse(text, &body, &error));
-        if (cluster_view->owner(canonicalCacheKey(
-                "/v1/solve", body)) == selfB_)
-            bodies.push_back(text);
-    }
-    ASSERT_EQ(bodies.size(), 5u);
+    const std::vector<std::string> bodies =
+        bodiesOwnedBy(*a_, selfB_, 5);
 
     ClusterConfig cluster;
     cluster.peers = {selfA_, selfB_};
@@ -448,6 +458,241 @@ TEST_F(ClusterWireTest, ProberEjectsDeadPeerAndReinstates)
     EXPECT_GE(
         a_->metrics().counter("cluster.health.reinstatements"),
         1u);
+}
+
+TEST_F(ClusterWireTest, FillsReuseOneUpstreamConnection)
+{
+    const std::vector<std::string> bodies =
+        bodiesOwnedBy(*a_, selfB_, 5);
+    for (const std::string &body : bodies)
+        ASSERT_EQ(postA(body).status, 200);
+    EXPECT_EQ(a_->metrics().counter("cluster.peer_fill.hits"),
+              5u);
+    // Five fills, one pooled keep-alive connection: one connect on
+    // A's side, one accept on B's.
+    EXPECT_EQ(a_->metrics().counter("cluster.upstream.connects"),
+              1u);
+    EXPECT_EQ(b_->metrics().counter("server.connections"), 1u);
+    EXPECT_EQ(
+        a_->metrics().counter("cluster.upstream.stale_dropped"),
+        0u);
+}
+
+TEST_F(ClusterWireTest, EjectionClosesIdleUpstreamConnections)
+{
+    const std::vector<std::string> bodies =
+        bodiesOwnedBy(*a_, selfB_, 2);
+    ASSERT_EQ(postA(bodies[0]).status, 200);
+    ASSERT_EQ(a_->metrics().counter("cluster.upstream.connects"),
+              1u);
+
+    // Eject B (three failures at the default threshold), then
+    // reinstate it: the pooled connection must not survive the
+    // ejection, so the next fill connects afresh.
+    const auto cluster = a_->clusterSnapshot();
+    for (int i = 0; i < 3; ++i)
+        cluster->notePeerFailure(selfB_);
+    ASSERT_EQ(cluster->peerState(selfB_), BreakerState::Open);
+    cluster->notePeerSuccess(selfB_);
+    ASSERT_EQ(postA(bodies[1]).status, 200);
+    EXPECT_EQ(a_->metrics().counter("cluster.peer_fill.hits"),
+              2u);
+    EXPECT_EQ(a_->metrics().counter("cluster.upstream.connects"),
+              2u);
+}
+
+TEST_F(ClusterWireTest, RouterStyleExchangesShareOneConnection)
+{
+    // A router's Cluster: no self, the same pool and exchange.
+    MetricsRegistry metrics;
+    ClusterConfig config;
+    config.peers = {selfA_, selfB_};
+    Cluster router(config, &metrics);
+    HttpClient::Request request;
+    request.method = "POST";
+    request.target = "/v1/solve";
+    for (const std::string &body : bodiesOwnedBy(*a_, selfB_, 4)) {
+        request.body = body;
+        HttpClientResponse response;
+        std::string error;
+        ASSERT_TRUE(router.exchange(selfB_, request, 5000.0,
+                                    &response, &error))
+            << error;
+        EXPECT_EQ(response.status, 200);
+    }
+    EXPECT_EQ(metrics.counter("cluster.upstream.connects"), 1u);
+    EXPECT_EQ(b_->metrics().counter("server.connections"), 1u);
+}
+
+/**
+ * A scripted upstream on an ephemeral port: its first connection
+ * answers one request, then answers the next with the 408 and
+ * close of an idle sweep that fired as that request arrived; its
+ * second connection answers normally.
+ */
+class SweptUpstream
+{
+  public:
+    SweptUpstream()
+    {
+        listenFd_ = socket(AF_INET, SOCK_STREAM, 0);
+        sockaddr_in address{};
+        address.sin_family = AF_INET;
+        address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        bind(listenFd_, reinterpret_cast<sockaddr *>(&address),
+             sizeof(address));
+        listen(listenFd_, 4);
+        socklen_t length = sizeof(address);
+        getsockname(listenFd_, reinterpret_cast<sockaddr *>(&address),
+                    &length);
+        peer_ = "127.0.0.1:" + std::to_string(ntohs(address.sin_port));
+        thread_ = std::thread([this] { serve(); });
+    }
+
+    ~SweptUpstream()
+    {
+        // Unblocks an accept the exchanges never satisfied.
+        shutdown(listenFd_, SHUT_RDWR);
+        thread_.join();
+        close(listenFd_);
+    }
+
+    SweptUpstream(const SweptUpstream &) = delete;
+    SweptUpstream &operator=(const SweptUpstream &) = delete;
+
+    const std::string &peer() const { return peer_; }
+
+  private:
+    /** Reads one request with a Content-Length body; false on EOF. */
+    static bool
+    readRequest(int fd)
+    {
+        std::string data;
+        char chunk[4096];
+        std::size_t header_end = std::string::npos;
+        std::size_t want = 0;
+        for (;;) {
+            if (header_end == std::string::npos) {
+                header_end = data.find("\r\n\r\n");
+                if (header_end != std::string::npos) {
+                    const std::size_t at =
+                        data.find("Content-Length: ");
+                    want = header_end + 4 +
+                           (at == std::string::npos
+                                ? 0
+                                : std::stoul(data.substr(at + 16)));
+                }
+            }
+            if (header_end != std::string::npos && data.size() >= want)
+                return true;
+            const ssize_t n = recv(fd, chunk, sizeof(chunk), 0);
+            if (n <= 0)
+                return false;
+            data.append(chunk, static_cast<std::size_t>(n));
+        }
+    }
+
+    static void
+    answer(int fd, const std::string &status, bool close_after)
+    {
+        const std::string body = "{}\n";
+        const std::string wire =
+            "HTTP/1.1 " + status + "\r\nContent-Length: " +
+            std::to_string(body.size()) + "\r\n" +
+            (close_after ? "Connection: close\r\n" : "") + "\r\n" +
+            body;
+        send(fd, wire.data(), wire.size(), MSG_NOSIGNAL);
+    }
+
+    void
+    serve()
+    {
+        const int first = accept(listenFd_, nullptr, nullptr);
+        if (readRequest(first))
+            answer(first, "200 OK", false);
+        if (readRequest(first))
+            answer(first, "408 Request Timeout", true);
+        close(first);
+        const int second = accept(listenFd_, nullptr, nullptr);
+        if (readRequest(second))
+            answer(second, "200 OK", false);
+        close(second);
+    }
+
+    int listenFd_ = -1;
+    std::string peer_;
+    std::thread thread_;
+};
+
+TEST(UpstreamPool, SweepRacingAReusedConnectionIsResentOnce)
+{
+    SweptUpstream upstream;
+    MetricsRegistry metrics;
+    ClusterConfig config;
+    config.peers = {upstream.peer()};
+    Cluster cluster(config, &metrics);
+    HttpClient::Request request;
+    request.method = "POST";
+    request.target = "/v1/solve";
+    request.body = "{}";
+    for (int i = 0; i < 2; ++i) {
+        HttpClientResponse response;
+        std::string error;
+        ASSERT_TRUE(cluster.exchange(upstream.peer(), request, 5000.0,
+                                     &response, &error))
+            << error;
+        // The second exchange met the sweep's 408 on the reused
+        // connection and was answered on a fresh one.
+        EXPECT_EQ(response.status, 200) << "exchange " << i;
+    }
+    EXPECT_EQ(metrics.counter("cluster.upstream.stale_dropped"), 1u);
+    EXPECT_EQ(metrics.counter("cluster.upstream.connects"), 2u);
+}
+
+/** The cluster with nodes that sweep idle connections at ~100 ms. */
+class ClusterIdleSweepTest : public ClusterWireTest
+{
+  protected:
+    void
+    SetUp() override
+    {
+        idleTimeoutMs_ = 100;
+        ClusterWireTest::SetUp();
+    }
+};
+
+TEST_F(ClusterIdleSweepTest, FillAfterTheOwnersIdleSweepStillHits)
+{
+    const std::vector<std::string> bodies =
+        bodiesOwnedBy(*a_, selfB_, 2);
+    ASSERT_EQ(postA(bodies[0]).status, 200);
+    ASSERT_EQ(a_->metrics().counter("cluster.peer_fill.hits"),
+              1u);
+
+    // Outwait B's idle sweep (timeout plus one 250 ms sweep
+    // period): it writes an unsolicited 408 into A's pooled
+    // connection and closes it.  A's own sweep closes the test's
+    // connection to A too, so ask again on a fresh one.
+    std::this_thread::sleep_for(std::chrono::milliseconds(700));
+    clientA_ = std::make_unique<HttpClient>("127.0.0.1", a_->port());
+    const HttpClientResponse response = postA(bodies[1]);
+    ASSERT_EQ(response.status, 200);
+    EXPECT_EQ(response.headers.count("x-bwwall-peer-filled"), 1u);
+
+    // The stale connection was dropped before reuse, so the fill
+    // hit instead of adopting the sweep's 408.
+    EXPECT_EQ(a_->metrics().counter("cluster.peer_fill.hits"),
+              2u);
+    EXPECT_EQ(
+        a_->metrics().counter("cluster.peer_fill.rejected"), 0u);
+    EXPECT_EQ(a_->metrics().counter(
+                  "cluster.local_fallback_computes"),
+              0u);
+    EXPECT_EQ(
+        a_->metrics().counter("cluster.upstream.stale_dropped"),
+        1u);
+    EXPECT_EQ(a_->metrics().counter("cluster.upstream.connects"),
+              2u);
 }
 
 TEST_F(ClusterWireTest, ClusterEndpointReportsMembership)

@@ -11,13 +11,16 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <random>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -201,6 +204,32 @@ TEST_F(HttpServerTest, BadRequestsAndUnknownPathsMapToStatuses)
     EXPECT_EQ(post("/v1/nope", "{}").status, 404);
     EXPECT_EQ(get("/v1/traffic").status, 405);
     EXPECT_EQ(post("/healthz", "{}").status, 405);
+}
+
+TEST_F(HttpServerTest, UnknownPathsShareOneMetricKey)
+{
+    const auto registry_lines = [&] {
+        std::ostringstream text;
+        server_->metrics().writeText(text);
+        const std::string dump = text.str();
+        return std::count(dump.begin(), dump.end(), '\n');
+    };
+    // One 404 first, so its shared keys (server.endpoint.unknown.*,
+    // server.responses.4xx) already exist.
+    ASSERT_EQ(get("/not-a-route").status, 404);
+    const auto before = registry_lines();
+
+    std::mt19937_64 rng(16);
+    for (int i = 0; i < 10000; ++i) {
+        const std::string path =
+            "/probe/" + std::to_string(rng()) + "/" +
+            std::to_string(i);
+        ASSERT_EQ(get(path).status, 404) << path;
+    }
+    EXPECT_EQ(registry_lines(), before);
+    EXPECT_EQ(server_->metrics().counter(
+                  "server.endpoint.unknown.requests"),
+              10001u);
 }
 
 TEST_F(HttpServerTest, OversizedBodiesAreRejectedWith413)

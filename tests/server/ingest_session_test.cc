@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -442,6 +443,57 @@ TEST_F(IngestHttpTest, ContentLengthAppendAlsoStreams)
     EXPECT_EQ(2, parsedBody(response.body)
                      .find("records")
                      ->asNumber());
+}
+
+TEST(IngestShardTest, TwoShardsAppendWhileSweepingExpiry)
+{
+    // Two connections land on two io shards.  Every append sweeps
+    // for expired sessions, reading the other session's last-use
+    // stamp while that session's own append writes it — the pair
+    // the TSan job checks.
+    ServerConfig config;
+    config.port = 0;
+    config.threads = 2;
+    config.ioShards = 2;
+    config.ingestTtlSeconds = 60.0;
+    BwwallServer server(config);
+    server.start();
+
+    constexpr int kAppends = 150;
+    std::atomic<int> failures{0};
+    std::vector<std::thread> writers;
+    for (int w = 0; w < 2; ++w) {
+        writers.emplace_back([&] {
+            HttpClient client("127.0.0.1", server.port());
+            client.setReadTimeoutMs(10000);
+            HttpClientResponse response;
+            std::string error;
+            if (!client.post("/v1/trace/ingest",
+                             "{\"format\":\"text\"}", &response,
+                             &error) ||
+                response.status != 200) {
+                failures.fetch_add(1);
+                return;
+            }
+            const std::string path =
+                "/v1/trace/ingest/" +
+                parsedBody(response.body).find("id")->asString();
+            for (int i = 0; i < kAppends; ++i) {
+                if (!client.post(path, "R 64\nW 128\n", &response,
+                                 &error) ||
+                    response.status != 200)
+                    failures.fetch_add(1);
+            }
+        });
+    }
+    for (std::thread &writer : writers)
+        writer.join();
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_EQ(server.metrics().counter("ingest.appends"),
+              2u * kAppends);
+    EXPECT_EQ(server.metrics().counter("ingest.sessions_expired"),
+              0u);
+    server.stop();
 }
 
 TEST_F(IngestHttpTest, LifecycleErrorsOverTheWire)

@@ -4,7 +4,8 @@
  * beyond the compute-thread count (the property the blocking
  * thread-per-connection server lacked), accept-time connection
  * admission, pipelined request ordering, fast graceful drain with
- * idle keep-alive connections parked, and connection churn.  The
+ * idle keep-alive connections parked, connection churn, and no
+ * lost compute wake under multi-shard load.  The
  * TSan shard runs these to check the event-loop -> compute-pool ->
  * write-back handoff.
  */
@@ -235,6 +236,45 @@ TEST(ReactorTest, ConnectionChurnServesEveryRequest)
     EXPECT_EQ(failures.load(), 0u);
     EXPECT_EQ(server->metrics().counter("server.connections"),
               kThreads * kPerThread);
+    server->stop();
+}
+
+TEST(ReactorTest, MultiShardLoadLosesNoComputeWake)
+{
+    // Several io shards pushing at once can leave the compute
+    // queue's head cell claimed but unpublished while a later item
+    // and its wake are already visible.  A compute thread that
+    // drops its wake on that failed pop strands one item; in this
+    // closed loop the last request then never answers.  Every read
+    // is bounded, so a stranded request fails instead of hanging.
+    ServerConfig config;
+    config.threads = 2;
+    config.ioShards = 4;
+    auto server = startServer(config);
+
+    constexpr unsigned kClients = 8;
+    constexpr unsigned kPerClient = 1500;
+    std::atomic<unsigned> failures{0};
+    std::vector<std::thread> clients;
+    for (unsigned t = 0; t < kClients; ++t) {
+        clients.emplace_back([&] {
+            HttpClient client("127.0.0.1", server->port());
+            client.setReadTimeoutMs(2000);
+            HttpClientResponse response;
+            std::string error;
+            for (unsigned i = 0; i < kPerClient; ++i) {
+                if (!client.perform({"GET", "/healthz", {}, "", {}},
+                                    &response, &error) ||
+                    response.status != 200) {
+                    failures.fetch_add(1);
+                    return;
+                }
+            }
+        });
+    }
+    for (std::thread &thread : clients)
+        thread.join();
+    EXPECT_EQ(failures.load(), 0u);
     server->stop();
 }
 
