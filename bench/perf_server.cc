@@ -709,15 +709,17 @@ main(int argc, char **argv)
         HttpClientResponse got;
         std::string error;
         for (const std::string &probe : probes) {
-            const std::string path =
-                probe.find("miss_curve") != std::string::npos
-                    ? "/v1/sweep"
-                    : "/v1/solve";
-            if (!reference.post(path, probe, &expected, &error))
+            const HttpClient::Request request{
+                .method = "POST",
+                .target = probe.find("miss_curve") != std::string::npos
+                              ? "/v1/sweep"
+                              : "/v1/solve",
+                .body = probe};
+            if (!reference.perform(request, &expected, &error))
                 fatal("perf_server cluster reference: ", error);
             for (const std::uint16_t node_port : node_ports) {
                 HttpClient client("127.0.0.1", node_port);
-                if (!client.post(path, probe, &got, &error))
+                if (!client.perform(request, &got, &error))
                     fatal("perf_server cluster probe: ", error);
                 if (got.status != 200 ||
                     got.body != expected.body)

@@ -108,7 +108,6 @@ main(int argc, char **argv)
     HttpRetryPolicy policy;
     policy.maxAttempts = static_cast<unsigned>(retries) + 1;
     policy.retryPosts = retry_posts;
-    policy.totalDeadlineMs = deadline_ms;
     client.setRetryPolicy(policy);
 
     HttpClient::Request request;
@@ -116,15 +115,14 @@ main(int argc, char **argv)
         !method.empty() ? method : (use_get ? "GET" : "POST");
     request.target = path;
     request.body = use_get ? "" : body;
-    HttpClient::RequestOptions options;
-    options.retry = true;
+    request.deadlineMs = deadline_ms;
     HttpClientResponse response;
     std::string error;
     for (std::uint64_t i = 0; i < repeat; ++i) {
         if (chunk_kib != 0 && !use_get) {
             // Stream the body: one wire chunk per --chunk-kib
             // slice (streamed requests are single-attempt, so the
-            // retry options do not apply).
+            // retry policy does not apply).
             request.bodyProvider =
                 [&body, chunk_kib, offset = std::size_t{0}](
                     char *buffer, std::size_t cap) mutable {
@@ -139,7 +137,7 @@ main(int argc, char **argv)
                     return step;
                 };
         }
-        if (!client.perform(request, options, &response, &error))
+        if (!client.perform(request, &response, &error))
             fatal("request failed: ", error);
     }
 

@@ -32,6 +32,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <arpa/inet.h>
 #include <atomic>
 #include <csignal>
@@ -148,13 +149,18 @@ routeModelQuery(Router &router, const HttpRequest &request)
     upstream.method = "POST";
     upstream.target = request.path;
     upstream.body = canonical;
-    // Client deadline and trace opt-in ride through unchanged.
-    for (const char *header :
-         {"x-bwwall-deadline-ms", "x-bwwall-trace"}) {
-        const auto value = request.headers.find(header);
-        if (value != request.headers.end())
-            upstream.headers[header] = value->second;
-    }
+    // The trace opt-in rides through unchanged.  The client's
+    // deadline only tightens each node's budget: the client stops
+    // waiting then, so neither the router nor the node should
+    // wait longer.
+    const auto trace = request.headers.find("x-bwwall-trace");
+    if (trace != request.headers.end())
+        upstream.headers[trace->first] = trace->second;
+    upstream.deadlineMs =
+        static_cast<double>(cluster.config().peerDeadlineMs);
+    const double client_ms = clientDeadlineMs(request);
+    if (client_ms > 0.0)
+        upstream.deadlineMs = std::min(upstream.deadlineMs, client_ms);
 
     std::string last_error;
     for (const std::size_t index : order) {
@@ -162,9 +168,8 @@ routeModelQuery(Router &router, const HttpRequest &request)
         // A refused connect fails the node over immediately; the
         // health layer remembers it for the next walk.
         HttpClientResponse response;
-        if (cluster.exchange(node, upstream,
-                             cluster.config().peerDeadlineMs,
-                             &response, &last_error)) {
+        if (cluster.exchange(node, upstream, &response,
+                             &last_error)) {
             // 5xx still answers the client (the node spoke), but
             // counts against its health so a sick node is demoted.
             if (response.status >= 500)

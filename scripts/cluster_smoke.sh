@@ -27,6 +27,9 @@
 #   - pooled keep-alive upstream connections survive the nodes'
 #     idle sweep: after outwaiting --idle-timeout-ms, a routed
 #     answer is still the reference bytes and a fill still hits
+#   - a client's X-BWWall-Deadline-Ms reaches a scripted upstream
+#     behind a router as exactly one deadline header, no larger than
+#     the client's budget
 #   - the router drains in under a second with an idle keep-alive
 #     client connected
 #   - the survivors and the router drain cleanly on SIGTERM
@@ -201,6 +204,79 @@ curl -sf -D "$work/stale_head.txt" -o /dev/null -X POST \
 grep -qi '^x-bwwall-peer-filled:' "$work/stale_head.txt" ||
     fail "node $filler fell back to a local compute after the idle sweep"
 echo "== stale pooled connections OK (routed and filled after the idle sweep)"
+
+# --- the router's upstream deadline ----------------------------------
+# A client's X-BWWall-Deadline-Ms only tightens the router's own
+# per-node budget (--peer-deadline-ms): the forward carries exactly
+# one deadline header, no larger than the client's budget.  A
+# scripted upstream behind a second router records what arrives.
+python3 - "$work/upstream.port" "$work/upstream_heads.txt" \
+    2>"$work/upstream.log" <<'PY' &
+import os, socket, sys, threading
+port_file, heads_file = sys.argv[1], sys.argv[2]
+listener = socket.socket()
+listener.bind(("127.0.0.1", 0))
+listener.listen(8)
+with open(port_file + ".tmp", "w") as f:
+    f.write(f"{listener.getsockname()[1]}\n")
+os.rename(port_file + ".tmp", port_file)
+lock = threading.Lock()
+def serve(conn):
+    data = b""
+    while True:
+        while b"\r\n\r\n" not in data:
+            chunk = conn.recv(4096)
+            if not chunk:
+                return
+            data += chunk
+        head, data = data.split(b"\r\n\r\n", 1)
+        lines = head.decode().split("\r\n")
+        length = 0
+        for line in lines[1:]:
+            name, _, value = line.partition(":")
+            if name.strip().lower() == "content-length":
+                length = int(value)
+        while len(data) < length:
+            data += conn.recv(4096)
+        data = data[length:]
+        if lines[0].startswith("POST "):
+            with lock, open(heads_file, "a") as f:
+                f.write("\n".join(lines[1:]) + "\n\n")
+        conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Type: application/json"
+                     b"\r\nContent-Length: 3\r\n\r\n{}\n")
+while True:
+    conn, _ = listener.accept()
+    threading.Thread(target=serve, args=(conn,), daemon=True).start()
+PY
+upstream_pid=$!
+pids+=("$upstream_pid")
+for _ in $(seq 1 100); do
+    [ -s "$work/upstream.port" ] && break
+    sleep 0.1
+done
+upstream_port=$(cat "$work/upstream.port" 2>/dev/null)
+[ -n "$upstream_port" ] || fail "the scripted upstream did not start"
+"$router_bin" --port 0 --peers "127.0.0.1:$upstream_port" \
+    --peer-probe-interval-ms 0 \
+    >"$work/router_deadline.out" 2>"$work/router_deadline.log" &
+deadline_router_pid=$!
+pids+=("$deadline_router_pid")
+deadline_router_port=$(wait_port "$work/router_deadline.out" bwwall_router)
+code=$(curl -s -o /dev/null -w '%{http_code}' \
+    -H 'X-BWWall-Deadline-Ms: 500' -X POST -d "$solve" \
+    "http://127.0.0.1:$deadline_router_port/v1/solve")
+[ "$code" = 200 ] || fail "routing to the scripted upstream answered $code"
+grep -i '^x-bwwall-deadline-ms:' "$work/upstream_heads.txt" \
+    >"$work/upstream_deadlines.txt" || true
+[ "$(wc -l <"$work/upstream_deadlines.txt")" -eq 1 ] ||
+    fail "the forward carried $(wc -l <"$work/upstream_deadlines.txt")" \
+        "deadline headers, want one: $(cat "$work/upstream_deadlines.txt")"
+deadline=$(sed 's/^[^:]*: *//' "$work/upstream_deadlines.txt")
+[ "$deadline" -ge 1 ] && [ "$deadline" -le 500 ] ||
+    fail "the forwarded deadline $deadline exceeds the client's 500 ms"
+kill -TERM "$deadline_router_pid" "$upstream_pid" 2>/dev/null || true
+wait "$deadline_router_pid" "$upstream_pid" 2>/dev/null || true
+echo "== router deadline OK (one header upstream: $deadline ms <= 500 ms)"
 
 # --- hot-key storm: one compute cluster-wide --------------------------
 metrics_value() { # metrics_value FILE COUNTER

@@ -15,7 +15,7 @@
 #define BWWALL_BWWALL_HH
 
 // Library version.
-#define BWWALL_VERSION_MAJOR 2
+#define BWWALL_VERSION_MAJOR 3
 #define BWWALL_VERSION_MINOR 0
 #define BWWALL_VERSION_PATCH 0
 

@@ -177,11 +177,8 @@ Cluster::acquireClient(const std::string &peer)
             pool->pop_back();
         }
     }
-    if (client != nullptr) {
-        if (client->dropStaleConnection())
-            count("cluster.upstream.stale_dropped");
+    if (client != nullptr)
         return client;
-    }
     std::string host;
     std::uint16_t port = 0;
     if (!splitHostPort(peer, &host, &port))
@@ -225,8 +222,7 @@ Cluster::releaseClient(const std::string &peer,
 bool
 Cluster::exchange(const std::string &peer,
                   const HttpClient::Request &request,
-                  double deadlineMs, HttpClientResponse *out,
-                  std::string *error,
+                  HttpClientResponse *out, std::string *error,
                   HttpClient::FailureKind *failure)
 {
     std::unique_ptr<HttpClient> client = acquireClient(peer);
@@ -237,25 +233,17 @@ Cluster::exchange(const std::string &peer,
             *failure = HttpClient::FailureKind::Other;
         return false;
     }
-    const bool reused = client->connected();
     const std::uint64_t connects_before = client->connects();
-    HttpClient::RequestOptions options;
-    options.retry = true;
-    options.deadlineMs = deadlineMs;
-    bool transported =
-        client->perform(request, options, out, error);
-    if (transported && reused && out->status == 408 &&
-        client->connects() == connects_before) {
-        // The idle sweep fired between the staleness check and our
-        // send: that 408 answers no request of ours, and the sweep
-        // closed the connection, so resend once on a fresh one.
-        count("cluster.upstream.stale_dropped");
-        transported = client->perform(request, options, out, error);
+    const std::uint64_t stale_before = client->staleDropped();
+    const bool transported = client->perform(request, out, error);
+    if (metrics_ != nullptr) {
+        if (client->connects() != connects_before)
+            metrics_->addCounter("cluster.upstream.connects",
+                                 client->connects() - connects_before);
+        if (client->staleDropped() != stale_before)
+            metrics_->addCounter("cluster.upstream.stale_dropped",
+                                 client->staleDropped() - stale_before);
     }
-    if (metrics_ != nullptr &&
-        client->connects() != connects_before)
-        metrics_->addCounter("cluster.upstream.connects",
-                             client->connects() - connects_before);
     if (failure != nullptr)
         *failure = client->lastFailureKind();
     // Only a connection that just carried a whole exchange and is
@@ -371,8 +359,9 @@ Cluster::probePeersOnce()
         client.setReadTimeoutMs(config_.probeTimeoutMs);
         count("cluster.health.probes");
         HttpClientResponse response;
-        const bool healthy = client.get("/healthz", &response) &&
-                             response.status == 200;
+        const bool healthy =
+            client.perform({.target = "/healthz"}, &response) &&
+            response.status == 200;
         if (!healthy)
             count("cluster.health.probe_failures");
         const auto now = Breaker::Clock::now();
@@ -436,11 +425,11 @@ Cluster::fillFromPeer(const std::string &peer,
     request.target = path;
     request.headers[kPeerFillHeader] = std::string("1");
     request.body = body;
+    request.deadlineMs = deadline_ms;
     HttpClientResponse response;
     std::string error;
     HttpClient::FailureKind failure = HttpClient::FailureKind::None;
-    if (!exchange(peer, request, deadline_ms, &response, &error,
-                  &failure)) {
+    if (!exchange(peer, request, &response, &error, &failure)) {
         notePeerFailure(peer);
         // An outright refusal means nobody is listening — a crash
         // or restart, not load — and perform() gave up without

@@ -200,15 +200,14 @@ class Cluster
      * the one upstream path under both peer fills and the router's
      * forwards.  Runs HttpClient::perform() with retry under the
      * configured attempts, connect timeout, and a read bound of
-     * peerDeadlineMs, within @p deadlineMs in total.
+     * peerDeadlineMs, within the request's deadlineMs in total.
      *
-     * A pooled connection is checked before reuse and dropped if
-     * the peer has written to it or closed it (a bwwalld idle sweep
-     * writes an unsolicited 408, then closes; a restarted peer left
-     * it at EOF) — cluster.upstream.stale_dropped.  A connection is
-     * also dropped after a transport error or a Connection: close,
-     * and a peer's idle connections close when its breaker opens.
-     * Every new connection counts cluster.upstream.connects.
+     * The client's reuse rule retires a pooled connection the peer
+     * has written to or closed (cluster.upstream.stale_dropped).  A
+     * connection is also dropped after a transport error or a
+     * Connection: close, and a peer's idle connections close when
+     * its breaker opens.  Every new connection counts
+     * cluster.upstream.connects.
      *
      * Returns perform()'s transport verdict, with *failure (when
      * given) classifying a failed one.  Peer health is the
@@ -216,8 +215,7 @@ class Cluster
      */
     bool exchange(const std::string &peer,
                   const HttpClient::Request &request,
-                  double deadlineMs, HttpClientResponse *out,
-                  std::string *error,
+                  HttpClientResponse *out, std::string *error,
                   HttpClient::FailureKind *failure = nullptr);
 
     /**
@@ -281,9 +279,8 @@ class Cluster
     using ClientPool = std::vector<std::unique_ptr<HttpClient>>;
 
     /**
-     * A pooled keep-alive client for @p peer, its connection
-     * checked for staleness (pop or create; null for an unusable
-     * peer).
+     * A pooled keep-alive client for @p peer (pop or create; null
+     * for an unusable peer).
      */
     std::unique_ptr<HttpClient>
     acquireClient(const std::string &peer);

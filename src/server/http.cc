@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 
 namespace bwwall {
@@ -409,6 +410,20 @@ httpErrorResponseFor(const Error &error)
     response.body = httpErrorBody(error).dump();
     response.body += '\n';
     return response;
+}
+
+double
+clientDeadlineMs(const HttpRequest &request)
+{
+    const auto budget = request.headers.find("x-bwwall-deadline-ms");
+    if (budget == request.headers.end())
+        return 0.0;
+    char *end = nullptr;
+    const double ms = std::strtod(budget->second.c_str(), &end);
+    if (end == nullptr || *end != '\0' || !std::isfinite(ms) ||
+        ms <= 0.0)
+        return 0.0;
+    return ms;
 }
 
 } // namespace bwwall

@@ -212,6 +212,13 @@ JsonValue httpErrorBody(const Error &error);
  */
 HttpResponse httpErrorResponseFor(const Error &error);
 
+/**
+ * The client's X-BWWall-Deadline-Ms budget in milliseconds: a
+ * finite, positive decimal, or 0 when the header is absent or
+ * unusable.  Both the node and the router honour it.
+ */
+double clientDeadlineMs(const HttpRequest &request);
+
 } // namespace bwwall
 
 #endif // BWWALL_SERVER_HTTP_HH

@@ -70,6 +70,7 @@ HttpClient::dropStaleConnection()
         buffer_.empty())
         return false; // quiet and open: safe to reuse
     disconnect();
+    ++staleDropped_;
     return true;
 }
 
@@ -335,12 +336,11 @@ HttpClient::readResponse(HttpClientResponse *out,
 }
 
 bool
-HttpClient::performOnce(const Request &request,
-                        HttpClientResponse *out,
-                        std::string *error)
+HttpClient::performOnce(const Request &request, double remainingMs,
+                        HttpClientResponse *out, std::string *error)
 {
     lastFailure_ = FailureKind::None;
-    const bool reused = fd_ >= 0;
+    const bool reused = fd_ >= 0 && !dropStaleConnection();
     if (!reused && !connect(error)) {
         if (lastFailure_ == FailureKind::None)
             lastFailure_ = FailureKind::Other;
@@ -368,12 +368,17 @@ HttpClient::performOnce(const Request &request,
         wire += value;
         wire += "\r\n";
     }
+    if (remainingMs > 0.0) {
+        wire += "X-BWWall-Deadline-Ms: ";
+        wire += std::to_string(std::max(1L, std::lround(remainingMs)));
+        wire += "\r\n";
+    }
     wire += "\r\n";
 
     if (request.bodyProvider) {
         // The provider is consumed as it runs, so a streamed
-        // request gets exactly one attempt: no stale keep-alive
-        // resend, no retry loop.
+        // request gets exactly one attempt: no resend, no retry
+        // loop.
         if (!sendAll(wire, error))
             return false;
         char buffer[64 << 10];
@@ -403,12 +408,16 @@ HttpClient::performOnce(const Request &request,
     wire += request.body;
 
     bool ok = sendAll(wire, error) && readResponse(out, error);
-    if (!ok && lastFailure_ != FailureKind::ReadTimeout) {
-        // A connection the server dropped between our exchange's
-        // send and read (a stale keep-alive socket, a shed accept)
-        // shows up as a transport error; retry once on a fresh
-        // one.  Not after a read timeout — the full bound was
-        // already spent waiting, and re-sending would double it.
+    // A 408 on a reused connection is the idle sweep's, fired
+    // between the peek and the send: it answers no request of ours.
+    const bool swept = ok && reused && out->status == 408;
+    if (swept)
+        ++staleDropped_;
+    // Resend once on a fresh connection after a swept one, or after
+    // one the server dropped between our send and read (a shed
+    // accept).  Not after a read timeout — the full bound was
+    // already spent waiting, and resending would double it.
+    if (swept || (!ok && lastFailure_ != FailureKind::ReadTimeout)) {
         lastFailure_ = FailureKind::None;
         ok = connect(error) && sendAll(wire, error) &&
              readResponse(out, error);
@@ -435,10 +444,16 @@ refusedWithoutWork(int status)
 bool
 HttpClient::retryLoop(const Request &request,
                       const HttpRetryPolicy &policy,
-                      double deadline_ms, HttpClientResponse *out,
-                      std::string *error)
+                      HttpClientResponse *out, std::string *error)
 {
     const auto start = std::chrono::steady_clock::now();
+    const bool has_deadline = request.deadlineMs > 0.0;
+    const auto remaining_ms = [&] {
+        return request.deadlineMs -
+               std::chrono::duration<double, std::milli>(
+                   std::chrono::steady_clock::now() - start)
+                   .count();
+    };
     if (jitterState_ == 0)
         jitterState_ = policy.seed | 1;
     const bool idempotent =
@@ -447,28 +462,18 @@ HttpClient::retryLoop(const Request &request,
     std::string last_error;
 
     for (unsigned attempt = 1;; ++attempt) {
-        Request attempt_request = request;
-        if (deadline_ms > 0.0) {
-            const double elapsed_ms =
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-            const double remaining = deadline_ms - elapsed_ms;
-            if (remaining <= 0.0) {
-                if (error)
-                    *error = "deadline exhausted after " +
-                             std::to_string(attempt - 1) +
-                             " attempt(s): " + last_error;
-                return false;
-            }
-            attempt_request.headers["X-BWWall-Deadline-Ms"] =
-                std::to_string(std::max(
-                    1L, std::lround(remaining)));
+        const double remaining = has_deadline ? remaining_ms() : 0.0;
+        if (has_deadline && remaining <= 0.0) {
+            if (error)
+                *error = "deadline exhausted after " +
+                         std::to_string(attempt - 1) +
+                         " attempt(s): " + last_error;
+            return false;
         }
 
         std::string attempt_error;
         const bool transported =
-            performOnce(attempt_request, out, &attempt_error);
+            performOnce(request, remaining, out, &attempt_error);
         if (transported && !refusedWithoutWork(out->status))
             return true;
 
@@ -530,14 +535,8 @@ HttpClient::retryLoop(const Request &request,
         wait_ms = std::max(
             wait_ms, std::min(retry_after_ms,
                               policy.maxBackoffMs));
-        if (deadline_ms > 0.0) {
-            const double elapsed_ms =
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-            wait_ms = std::min(wait_ms,
-                               deadline_ms - elapsed_ms);
-        }
+        if (has_deadline)
+            wait_ms = std::min(wait_ms, remaining_ms());
         if (wait_ms > 0.0) {
             std::this_thread::sleep_for(
                 std::chrono::duration<double, std::milli>(
@@ -548,31 +547,13 @@ HttpClient::retryLoop(const Request &request,
 }
 
 bool
-HttpClient::perform(const Request &request,
-                    const RequestOptions &options,
-                    HttpClientResponse *out, std::string *error)
+HttpClient::perform(const Request &request, HttpClientResponse *out,
+                    std::string *error)
 {
-    const bool retry = options.retry || options.policy != nullptr;
-    if (request.bodyProvider) // streamed: single attempt, always
-        return performOnce(request, out, error);
-    if (!retry && options.deadlineMs < 0.0)
-        return performOnce(request, out, error);
-    const HttpRetryPolicy &policy =
-        options.policy != nullptr ? *options.policy
-                                  : retryPolicy_;
-    const double deadline_ms = options.deadlineMs >= 0.0
-                                   ? options.deadlineMs
-                                   : policy.totalDeadlineMs;
-    if (!retry) {
-        // Deadline without retry: one attempt under a one-shot
-        // policy so the X-BWWall-Deadline-Ms header still rides
-        // along.
-        HttpRetryPolicy single = policy;
-        single.maxAttempts = 1;
-        return retryLoop(request, single, deadline_ms, out,
-                         error);
-    }
-    return retryLoop(request, policy, deadline_ms, out, error);
+    // A streamed body is consumed as it is sent: one attempt only.
+    if (!retryPolicy_ || request.bodyProvider)
+        return performOnce(request, request.deadlineMs, out, error);
+    return retryLoop(request, *retryPolicy_, out, error);
 }
 
 } // namespace bwwall

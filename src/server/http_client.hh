@@ -2,18 +2,28 @@
  * @file
  * Tiny blocking HTTP/1.1 client for bwwalld.
  *
- * Shared by the bwwall_client example, the perf_server closed-loop
- * load generator, and the server tests, so every consumer talks to
- * the daemon through the same code path.  Keep-alive by default:
- * one HttpClient is one TCP connection, reconnecting transparently
- * when the server (or a Connection: close response) drops it.
+ * Every caller talks to the daemon through it: the bwwall_client
+ * example, the cluster's pooled upstream connections (peer fills
+ * and the router's forwards), the health prober, the bench load
+ * generators, perfbench's harness, and the server tests.
+ * Keep-alive by default: one HttpClient is one TCP connection,
+ * reconnecting transparently when the server (or a Connection:
+ * close response) drops it.
  *
- * The API is one entry point: describe the exchange in a Request
- * (method, target, headers, body), tune the attempt in
- * RequestOptions (retry policy, per-call deadline), and call
- * perform().  The older method-per-shape overloads (request, get,
- * post, requestWithRetry) remain as thin wrappers over perform()
- * for one release; new code should call perform() directly.
+ * The contract is one call: describe the exchange in a Request
+ * (method, target, headers, body, deadline) and call perform().
+ * Without a retry policy that is one exchange, and any HTTP status
+ * is a successful transport; setRetryPolicy() layers retries on
+ * every later call.
+ *
+ * One reuse rule covers every caller.  An idle keep-alive
+ * connection is peeked without blocking before it carries a
+ * request; a server that has written to it or closed it (bwwalld's
+ * idle sweep writes an unsolicited 408, then closes; a restarted
+ * server left it at EOF) gets a fresh connection instead.  A 408
+ * that still arrives on a reused connection, because the sweep
+ * fired between the peek and the send, answers no request of ours:
+ * the request is sent once more on a fresh connection.
  *
  * Robustness knobs:
  *  - setConnectTimeoutMs() bounds connect() (non-blocking connect +
@@ -22,10 +32,11 @@
  *  - setReadTimeoutMs() bounds reading one response, so a peer that
  *    accepts the connection but never answers (SIGSTOPped, wedged)
  *    cannot hang the caller;
- *  - RequestOptions::retry layers an idempotency-aware retry policy
- *    on the exchange: capped exponential backoff with deterministic
- *    jitter, a lifetime retry budget, Retry-After awareness, and a
- *    total deadline the server sees via X-BWWall-Deadline-Ms;
+ *  - Request::deadlineMs bounds the call's total wall clock, and
+ *    the server sees the remaining budget as X-BWWall-Deadline-Ms;
+ *  - setRetryPolicy() installs an idempotency-aware retry policy:
+ *    capped exponential backoff with deterministic jitter, a
+ *    lifetime retry budget, and Retry-After awareness;
  *  - lastFailureKind() classifies transport failures (connection
  *    refused vs timed out vs other), and
  *    HttpRetryPolicy::failFastOnRefused turns an outright refusal
@@ -40,6 +51,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 
 namespace bwwall {
@@ -53,7 +65,7 @@ struct HttpClientResponse
     std::string body;
 };
 
-/** Tuning of HttpClient::requestWithRetry(). */
+/** The retries HttpClient::setRetryPolicy() turns on. */
 struct HttpRetryPolicy
 {
     /** Tries per request, the first included (1 = no retries). */
@@ -87,14 +99,6 @@ struct HttpRetryPolicy
     bool retryPosts = false;
 
     /**
-     * Total wall-clock deadline across attempts, milliseconds
-     * (0 = none).  The remaining budget rides along as the
-     * X-BWWall-Deadline-Ms request header, so the server's own
-     * deadline tightens to what the client will actually wait for.
-     */
-    double totalDeadlineMs = 0.0;
-
-    /**
      * Give up immediately on an outright connection refusal
      * instead of burning retry attempts on it: a closed port means
      * nobody is listening, and backing off cannot change that
@@ -126,7 +130,11 @@ class HttpClient
         Other,          ///< resolve/send/parse/close failures
     };
 
-    /** One exchange to perform(): the what of a request. */
+    /**
+     * One exchange to perform().  Every member has a default, so a
+     * designated initializer names only what differs:
+     * `perform({.target = "/healthz"}, &out)`.
+     */
     struct Request
     {
         std::string method = "GET";
@@ -136,9 +144,9 @@ class HttpClient
          * Extra request headers ("X-BWWall-Trace" opts a bwwalld
          * request into span recording — docs/SERVER.md).
          */
-        std::map<std::string, std::string> headers;
+        std::map<std::string, std::string> headers{};
 
-        std::string body;
+        std::string body{};
 
         /**
          * When set, the request body streams with
@@ -147,37 +155,20 @@ class HttpClient
          * returns how many it wrote, with 0 ending the stream
          * (each non-empty fill is one wire chunk); `body` is then
          * ignored.  Streamed requests are sent exactly once — the
-         * provider is consumed as it runs, so neither the stale
-         * keep-alive resend nor RequestOptions::retry applies.
+         * provider is consumed as it runs, so neither the resend
+         * on a fresh connection nor the retry policy applies (the
+         * peek before reuse still does).
          */
         std::function<std::size_t(char *buffer, std::size_t cap)>
-            bodyProvider;
-    };
-
-    /** The how of one perform() call. */
-    struct RequestOptions
-    {
-        /**
-         * Retry under the client's HttpRetryPolicy (idempotency
-         * aware; see setRetryPolicy()).  Off, a transport failure
-         * fails the call after the single built-in stale
-         * keep-alive reconnect.
-         */
-        bool retry = false;
+            bodyProvider{};
 
         /**
-         * Policy override for this call only (implies retry);
-         * null uses the client's configured policy.  Not owned;
-         * must outlive the call.
+         * Total wall-clock deadline across attempts, milliseconds
+         * (0 = none).  Each attempt carries the remaining budget
+         * as the X-BWWall-Deadline-Ms header, so the server's own
+         * deadline tightens to what the client will wait for.
          */
-        const HttpRetryPolicy *policy = nullptr;
-
-        /**
-         * Total wall-clock deadline override for this call,
-         * milliseconds; negative defers to the policy's
-         * totalDeadlineMs, 0 disables the deadline.
-         */
-        double deadlineMs = -1.0;
+        double deadlineMs = 0.0;
     };
 
     HttpClient(std::string host, std::uint16_t port)
@@ -190,73 +181,16 @@ class HttpClient
     HttpClient &operator=(const HttpClient &) = delete;
 
     /**
-     * Sends one request and reads the full response, applying the
-     * options.  Connects (or reconnects) as needed.  Returns false
-     * with *error set on transport failure (or, with retry, once
-     * the attempts, the budget, or the deadline are exhausted; *out
-     * then holds the last response if any attempt transported).
-     * HTTP error statuses are successful transports.
+     * Sends one request and reads the full response, connecting
+     * (or reconnecting) as needed.  Returns false with *error set
+     * on transport failure.  HTTP error statuses are successful
+     * transports — unless a retry policy is set, under which a
+     * call fails once the attempts, the budget, or the deadline
+     * are exhausted (*out then holds the last response if any
+     * attempt transported).
      */
-    bool perform(const Request &request,
-                 const RequestOptions &options,
-                 HttpClientResponse *out,
+    bool perform(const Request &request, HttpClientResponse *out,
                  std::string *error = nullptr);
-
-    /** perform() with default options (no retry). */
-    bool
-    perform(const Request &request, HttpClientResponse *out,
-            std::string *error = nullptr)
-    {
-        return perform(request, RequestOptions{}, out, error);
-    }
-
-    /** @name Deprecated wrappers (one release): use perform().
-     *  @{ */
-    bool
-    request(const std::string &method, const std::string &target,
-            const std::string &body, HttpClientResponse *out,
-            std::string *error = nullptr)
-    {
-        return perform({method, target, {}, body, {}}, out, error);
-    }
-
-    bool
-    request(const std::string &method, const std::string &target,
-            const std::map<std::string, std::string> &headers,
-            const std::string &body, HttpClientResponse *out,
-            std::string *error = nullptr)
-    {
-        return perform({method, target, headers, body, {}}, out,
-                       error);
-    }
-
-    bool
-    get(const std::string &target, HttpClientResponse *out,
-        std::string *error = nullptr)
-    {
-        return perform({"GET", target, {}, "", {}}, out, error);
-    }
-
-    bool
-    post(const std::string &target, const std::string &body,
-         HttpClientResponse *out, std::string *error = nullptr)
-    {
-        return perform({"POST", target, {}, body, {}}, out, error);
-    }
-
-    bool
-    requestWithRetry(
-        const std::string &method, const std::string &target,
-        const std::map<std::string, std::string> &headers,
-        const std::string &body, HttpClientResponse *out,
-        std::string *error = nullptr)
-    {
-        RequestOptions options;
-        options.retry = true;
-        return perform({method, target, headers, body, {}}, options,
-                       out, error);
-    }
-    /** @} */
 
     /** Connect timeout, milliseconds (0 = the OS default). */
     void setConnectTimeoutMs(unsigned ms)
@@ -280,6 +214,7 @@ class HttpClient
         return lastFailure_;
     }
 
+    /** Retries every later perform() under @p policy. */
     void setRetryPolicy(const HttpRetryPolicy &policy)
     {
         retryPolicy_ = policy;
@@ -290,20 +225,23 @@ class HttpClient
 
     bool connected() const { return fd_ >= 0; }
 
-    /**
-     * Checks an idle keep-alive connection without blocking before
-     * it is reused.  A server that has already written to it or
-     * closed it (bwwalld's idle sweep writes an unsolicited 408 and
-     * then closes) would otherwise hand that stale answer to the
-     * next request.  Such a connection is dropped, so the next
-     * perform() reconnects; returns true when one was dropped.
-     */
-    bool dropStaleConnection();
-
     /** Successful connects over this client's life. */
     std::uint64_t connects() const { return connects_; }
 
+    /**
+     * Idle connections the reuse rule retired over this client's
+     * life: dropped by the peek before reuse, or answered by an
+     * idle sweep's 408 and resent.
+     */
+    std::uint64_t staleDropped() const { return staleDropped_; }
+
   private:
+    /**
+     * The peek before reuse: drops an idle connection the server
+     * has written to or closed.  True when one was dropped.
+     */
+    bool dropStaleConnection();
+
     bool connect(std::string *error);
     bool connectOne(int fd, const void *address,
                     unsigned addressLen, std::string *failure);
@@ -312,15 +250,18 @@ class HttpClient
     bool readResponse(HttpClientResponse *out,
                       std::string *error);
 
-    /** One exchange, no retries (stale keep-alive reconnect only). */
-    bool performOnce(const Request &request,
+    /**
+     * One exchange under the reuse rule, with at most one resend
+     * on a fresh connection; @p remainingMs (0 = none) becomes the
+     * X-BWWall-Deadline-Ms header.
+     */
+    bool performOnce(const Request &request, double remainingMs,
                      HttpClientResponse *out, std::string *error);
 
-    /** The retry loop of perform() with options.retry. */
+    /** perform() under the retry policy. */
     bool retryLoop(const Request &request,
                    const HttpRetryPolicy &policy,
-                   double deadline_ms, HttpClientResponse *out,
-                   std::string *error);
+                   HttpClientResponse *out, std::string *error);
 
     std::string host_;
     std::uint16_t port_;
@@ -328,9 +269,10 @@ class HttpClient
     unsigned connectTimeoutMs_ = 0;
     unsigned readTimeoutMs_ = 0;
     FailureKind lastFailure_ = FailureKind::None;
-    HttpRetryPolicy retryPolicy_;
+    std::optional<HttpRetryPolicy> retryPolicy_;
     unsigned retriesUsed_ = 0;
     std::uint64_t connects_ = 0;
+    std::uint64_t staleDropped_ = 0;
     std::uint64_t jitterState_ = 0;
     std::string buffer_;
 };

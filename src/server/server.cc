@@ -1,8 +1,6 @@
 #include "server/server.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
 #include <sstream>
 
 #include "server/json.hh"
@@ -301,20 +299,10 @@ BwwallServer::handleModelQuery(const HttpRequest &request,
     double deadline =
         static_cast<double>(config_.deadlineMs) / 1000.0;
     bool has_deadline = config_.deadlineMs != 0;
-    const auto budget =
-        request.headers.find("x-bwwall-deadline-ms");
-    if (budget != request.headers.end()) {
-        char *end = nullptr;
-        const double client_ms =
-            std::strtod(budget->second.c_str(), &end);
-        if (end != nullptr && *end == '\0' &&
-            std::isfinite(client_ms) && client_ms > 0.0) {
-            const double client = client_ms / 1000.0;
-            if (!has_deadline || client < deadline) {
-                deadline = client;
-                has_deadline = true;
-            }
-        }
+    const double client = clientDeadlineMs(request) / 1000.0;
+    if (client > 0.0 && (!has_deadline || client < deadline)) {
+        deadline = client;
+        has_deadline = true;
     }
     try {
         const std::string key =

@@ -248,9 +248,10 @@ class ClusterWireTest : public testing::Test
     {
         HttpClientResponse response;
         std::string error;
-        EXPECT_TRUE(clientA_->perform({"POST", "/v1/solve",
-                                       std::move(headers), body,
-                                       {}},
+        EXPECT_TRUE(clientA_->perform({.method = "POST",
+                                       .target = "/v1/solve",
+                                       .headers = std::move(headers),
+                                       .body = body},
                                       &response, &error))
             << error;
         return response;
@@ -287,7 +288,9 @@ TEST_F(ClusterWireTest, PeerFillIsByteIdenticalAndCounted)
     HttpClientResponse direct;
     std::string error;
     ASSERT_TRUE(
-        single.post("/v1/solve", body, &direct, &error))
+        single.perform(
+            {.method = "POST", .target = "/v1/solve", .body = body},
+            &direct, &error))
         << error;
     EXPECT_EQ(filled.body, direct.body);
 
@@ -369,7 +372,9 @@ TEST_F(ClusterWireTest, DeadOwnerFallsBackToLocalCompute)
     HttpClientResponse direct;
     std::string error;
     ASSERT_TRUE(
-        single.post("/v1/solve", body, &direct, &error))
+        single.perform(
+            {.method = "POST", .target = "/v1/solve", .body = body},
+            &direct, &error))
         << error;
     EXPECT_EQ(response.body, direct.body);
 }
@@ -511,12 +516,12 @@ TEST_F(ClusterWireTest, RouterStyleExchangesShareOneConnection)
     HttpClient::Request request;
     request.method = "POST";
     request.target = "/v1/solve";
+    request.deadlineMs = 5000.0;
     for (const std::string &body : bodiesOwnedBy(*a_, selfB_, 4)) {
         request.body = body;
         HttpClientResponse response;
         std::string error;
-        ASSERT_TRUE(router.exchange(selfB_, request, 5000.0,
-                                    &response, &error))
+        ASSERT_TRUE(router.exchange(selfB_, request, &response, &error))
             << error;
         EXPECT_EQ(response.status, 200);
     }
@@ -635,11 +640,12 @@ TEST(UpstreamPool, SweepRacingAReusedConnectionIsResentOnce)
     request.method = "POST";
     request.target = "/v1/solve";
     request.body = "{}";
+    request.deadlineMs = 5000.0;
     for (int i = 0; i < 2; ++i) {
         HttpClientResponse response;
         std::string error;
-        ASSERT_TRUE(cluster.exchange(upstream.peer(), request, 5000.0,
-                                     &response, &error))
+        ASSERT_TRUE(
+            cluster.exchange(upstream.peer(), request, &response, &error))
             << error;
         // The second exchange met the sweep's 408 on the reused
         // connection and was answered on a fresh one.
@@ -671,10 +677,9 @@ TEST_F(ClusterIdleSweepTest, FillAfterTheOwnersIdleSweepStillHits)
 
     // Outwait B's idle sweep (timeout plus one 250 ms sweep
     // period): it writes an unsolicited 408 into A's pooled
-    // connection and closes it.  A's own sweep closes the test's
-    // connection to A too, so ask again on a fresh one.
+    // connection and closes it.  A's own sweep does the same to the
+    // test's connection to A, which the client's reuse rule drops.
     std::this_thread::sleep_for(std::chrono::milliseconds(700));
-    clientA_ = std::make_unique<HttpClient>("127.0.0.1", a_->port());
     const HttpClientResponse response = postA(bodies[1]);
     ASSERT_EQ(response.status, 200);
     EXPECT_EQ(response.headers.count("x-bwwall-peer-filled"), 1u);
@@ -700,7 +705,7 @@ TEST_F(ClusterWireTest, ClusterEndpointReportsMembership)
     HttpClientResponse response;
     std::string error;
     ASSERT_TRUE(
-        clientA_->get("/v1/cluster", &response, &error))
+        clientA_->perform({.target = "/v1/cluster"}, &response, &error))
         << error;
     ASSERT_EQ(response.status, 200);
     JsonValue payload;
@@ -723,7 +728,7 @@ TEST(ClusterEndpoint, SingleNodeReportsDisabled)
     HttpClient client("127.0.0.1", server.port());
     HttpClientResponse response;
     std::string error;
-    ASSERT_TRUE(client.get("/v1/cluster", &response, &error))
+    ASSERT_TRUE(client.perform({.target = "/v1/cluster"}, &response, &error))
         << error;
     ASSERT_EQ(response.status, 200);
     JsonValue payload;

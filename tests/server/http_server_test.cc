@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <random>
 #include <set>
@@ -67,7 +68,9 @@ class HttpServerTest : public testing::Test
         HttpClientResponse response;
         std::string error;
         EXPECT_TRUE(
-            client_->post(path, body, &response, &error))
+            client_->perform(
+                {.method = "POST", .target = path, .body = body},
+                &response, &error))
             << error;
         return response;
     }
@@ -77,7 +80,7 @@ class HttpServerTest : public testing::Test
     {
         HttpClientResponse response;
         std::string error;
-        EXPECT_TRUE(client_->get(path, &response, &error))
+        EXPECT_TRUE(client_->perform({.target = path}, &response, &error))
             << error;
         return response;
     }
@@ -299,8 +302,9 @@ TEST_F(HttpServerTest, ConcurrentIdenticalSweepsComputeOnce)
             HttpClient client("127.0.0.1", server_->port());
             HttpClientResponse response;
             std::string error;
-            if (!client.post("/v1/sweep", sweep, &response,
-                             &error) ||
+            if (!client.perform(
+                {.method = "POST", .target = "/v1/sweep", .body = sweep},
+                &response, &error) ||
                 response.status != 200) {
                 failures.fetch_add(1);
                 return;
@@ -330,7 +334,7 @@ TEST_F(HttpServerTest, GracefulStopFinishesAndRefusesReconnect)
     HttpClient late("127.0.0.1", server_->port());
     HttpClientResponse response;
     std::string error;
-    EXPECT_FALSE(late.get("/healthz", &response, &error));
+    EXPECT_FALSE(late.perform({.target = "/healthz"}, &response, &error));
 }
 
 TEST(HttpServerPersistTest, WarmRestartServesByteIdenticalHits)
@@ -354,8 +358,9 @@ TEST(HttpServerPersistTest, WarmRestartServesByteIdenticalHits)
         HttpClient client("127.0.0.1", server.port());
         HttpClientResponse response;
         std::string error;
-        ASSERT_TRUE(client.post("/v1/solve", body, &response,
-                                &error))
+        ASSERT_TRUE(client.perform(
+            {.method = "POST", .target = "/v1/solve", .body = body},
+            &response, &error))
             << error;
         ASSERT_EQ(response.status, 200);
         first = response.body;
@@ -378,8 +383,9 @@ TEST(HttpServerPersistTest, WarmRestartServesByteIdenticalHits)
         HttpClient client("127.0.0.1", server.port());
         HttpClientResponse response;
         std::string error;
-        ASSERT_TRUE(client.post("/v1/solve", body, &response,
-                                &error))
+        ASSERT_TRUE(client.perform(
+            {.method = "POST", .target = "/v1/solve", .body = body},
+            &response, &error))
             << error;
         ASSERT_EQ(response.status, 200);
         // Byte identity across the restart, and it was a warm
@@ -405,7 +411,7 @@ TEST(HttpServerTraceTest, TraceEndpointIs404WhenTracingIsOff)
         HttpClient client("127.0.0.1", server.port());
         HttpClientResponse response;
         std::string error;
-        ASSERT_TRUE(client.get("/v1/trace", &response, &error))
+        ASSERT_TRUE(client.perform({.target = "/v1/trace"}, &response, &error))
             << error;
         EXPECT_EQ(response.status, 404);
     }
@@ -430,24 +436,27 @@ TEST(HttpServerTraceTest, OptedInRequestRoundTripsThroughV1Trace)
     std::string error;
 
     // A plain request records nothing.
-    ASSERT_TRUE(client->post("/v1/solve",
-                            "{\"alpha\":0.5,\"total_ceas\":32}",
-                            &response, &error))
+    ASSERT_TRUE(client->perform(
+        {.method = "POST", .target = "/v1/solve",
+         .body = "{\"alpha\":0.5,\"total_ceas\":32}"},
+        &response, &error))
         << error;
     EXPECT_EQ(response.status, 200);
     EXPECT_TRUE(server.traceRecorder()->collect().empty());
 
     // An X-BWWall-Trace request records its lifecycle; a distinct
     // body forces a cache miss, so server.compute must appear.
-    ASSERT_TRUE(client->request(
-        "POST", "/v1/solve", {{"X-BWWall-Trace", "1"}},
-        "{\"alpha\":0.4,\"total_ceas\":32}", &response, &error))
+    ASSERT_TRUE(client->perform(
+        {.method = "POST", .target = "/v1/solve",
+         .headers = {{"X-BWWall-Trace", "1"}},
+         .body = "{\"alpha\":0.4,\"total_ceas\":32}"},
+        &response, &error))
         << error;
     EXPECT_EQ(response.status, 200);
 
     // The export is strict-parser-clean Chrome JSON containing the
     // request lifecycle spans.
-    ASSERT_TRUE(client->get("/v1/trace", &response, &error))
+    ASSERT_TRUE(client->perform({.target = "/v1/trace"}, &response, &error))
         << error;
     EXPECT_EQ(response.status, 200);
     EXPECT_EQ(response.headers.at("content-type"),
@@ -472,9 +481,11 @@ TEST(HttpServerTraceTest, OptedInRequestRoundTripsThroughV1Trace)
     EXPECT_EQ(names.count("server.cache_miss"), 1u);
 
     // An opted-in cache hit records the hit marker, not a compute.
-    ASSERT_TRUE(client->request(
-        "POST", "/v1/solve", {{"X-BWWall-Trace", "1"}},
-        "{\"alpha\":0.4,\"total_ceas\":32}", &response, &error))
+    ASSERT_TRUE(client->perform(
+        {.method = "POST", .target = "/v1/solve",
+         .headers = {{"X-BWWall-Trace", "1"}},
+         .body = "{\"alpha\":0.4,\"total_ceas\":32}"},
+        &response, &error))
         << error;
     EXPECT_EQ(response.status, 200);
     bool hit = false;
@@ -487,7 +498,9 @@ TEST(HttpServerTraceTest, OptedInRequestRoundTripsThroughV1Trace)
 
     // Only GET is allowed on /v1/trace.
     ASSERT_TRUE(
-        client->post("/v1/trace", "{}", &response, &error))
+        client->perform(
+            {.method = "POST", .target = "/v1/trace", .body = "{}"},
+            &response, &error))
         << error;
     EXPECT_EQ(response.status, 405);
     client.reset();
@@ -508,7 +521,7 @@ TEST(HttpServerTraceTest, TraceAllRecordsEveryRequest)
         HttpClient client("127.0.0.1", server.port());
         HttpClientResponse response;
         std::string error;
-        ASSERT_TRUE(client.get("/healthz", &response, &error))
+        ASSERT_TRUE(client.perform({.target = "/healthz"}, &response, &error))
             << error;
         EXPECT_EQ(response.status, 200);
     }
@@ -608,10 +621,11 @@ TEST_F(HttpServerTest, ClientDeadlineHeaderYieldsA504)
     std::string error;
     // A microscopic budget expires during any real compute; the
     // result is still cached for a later retry.
-    ASSERT_TRUE(client_->request(
-        "POST", "/v1/sweep", {{"X-BWWall-Deadline-Ms", "0.01"}},
-        "{\"kind\":\"scaling\",\"generations\":3}", &response,
-        &error))
+    ASSERT_TRUE(client_->perform(
+        {.method = "POST", .target = "/v1/sweep",
+         .headers = {{"X-BWWall-Deadline-Ms", "0.01"}},
+         .body = "{\"kind\":\"scaling\",\"generations\":3}"},
+        &response, &error))
         << error;
     EXPECT_EQ(response.status, 504);
     EXPECT_GE(server_->metrics().counter(
@@ -644,8 +658,9 @@ TEST(HttpServerOverloadTest, BreakerShedsSweepsButNotTraffic)
         const std::string sweep =
             "{\"kind\":\"scaling\",\"generations\":2}";
         for (int i = 0; i < 2; ++i) {
-            ASSERT_TRUE(client.post("/v1/sweep", sweep, &response,
-                                    &error))
+            ASSERT_TRUE(client.perform(
+                {.method = "POST", .target = "/v1/sweep", .body = sweep},
+                &response, &error))
                 << error;
             EXPECT_EQ(response.status, 500);
         }
@@ -656,7 +671,9 @@ TEST(HttpServerOverloadTest, BreakerShedsSweepsButNotTraffic)
 
         // The third sweep sheds with a Retry-After hint...
         ASSERT_TRUE(
-            client.post("/v1/sweep", sweep, &response, &error))
+            client.perform(
+                {.method = "POST", .target = "/v1/sweep", .body = sweep},
+                &response, &error))
             << error;
         EXPECT_EQ(response.status, 503);
         EXPECT_EQ(errorCategoryOf(response.body), "overload");
@@ -664,10 +681,10 @@ TEST(HttpServerOverloadTest, BreakerShedsSweepsButNotTraffic)
         EXPECT_GE(server.metrics().counter("server.shed"), 1u);
 
         // ...while the cheap endpoint keeps serving.
-        ASSERT_TRUE(client.post("/v1/traffic",
-                                "{\"cores\":8,\"alpha\":0.5,"
-                                "\"total_ceas\":32}",
-                                &response, &error))
+        ASSERT_TRUE(client.perform(
+            {.method = "POST", .target = "/v1/traffic",
+             .body = "{\"cores\":8,\"alpha\":0.5,\"total_ceas\":32}"},
+            &response, &error))
             << error;
         EXPECT_EQ(response.status, 200);
     }
@@ -694,7 +711,9 @@ TEST(HttpServerOverloadTest, RetryRidesOutABreakerShed)
         ScopedFaultInjection faults("cache.compute=sched:1",
                                     &server.metrics());
         ASSERT_TRUE(
-            client.post("/v1/sweep", sweep, &response, &error))
+            client.perform(
+                {.method = "POST", .target = "/v1/sweep", .body = sweep},
+                &response, &error))
             << error;
         ASSERT_EQ(response.status, 500);
 
@@ -707,9 +726,9 @@ TEST(HttpServerOverloadTest, RetryRidesOutABreakerShed)
         policy.maxBackoffMs = 120.0;
         policy.retryPosts = true;
         client.setRetryPolicy(policy);
-        ASSERT_TRUE(client.requestWithRetry("POST", "/v1/sweep", {},
-                                            sweep, &response,
-                                            &error))
+        ASSERT_TRUE(client.perform(
+            {.method = "POST", .target = "/v1/sweep", .body = sweep},
+            &response, &error))
             << error;
         EXPECT_EQ(response.status, 200);
         EXPECT_GE(client.retriesUsed(), 1u);
@@ -733,24 +752,114 @@ TEST(HttpServerOverloadTest, PressedSweepsAreServedDegraded)
         HttpClient client("127.0.0.1", server.port());
         HttpClientResponse response;
         std::string error;
-        ASSERT_TRUE(client.post(
-            "/v1/sweep",
-            "{\"kind\":\"scaling\",\"generations\":8}", &response,
-            &error))
+        ASSERT_TRUE(client.perform(
+            {.method = "POST", .target = "/v1/sweep",
+             .body = "{\"kind\":\"scaling\",\"generations\":8}"},
+            &response, &error))
             << error;
         EXPECT_EQ(response.status, 200);
         EXPECT_EQ(response.headers.at("x-bwwall-degraded"), "1");
         EXPECT_GE(server.metrics().counter("server.degraded"), 1u);
 
         // Cheap endpoints never carry the degraded marker.
-        ASSERT_TRUE(client.post("/v1/solve",
-                                "{\"alpha\":0.5,\"total_ceas\":32}",
-                                &response, &error))
+        ASSERT_TRUE(client.perform(
+            {.method = "POST", .target = "/v1/solve",
+             .body = "{\"alpha\":0.5,\"total_ceas\":32}"},
+            &response, &error))
             << error;
         EXPECT_EQ(response.status, 200);
         EXPECT_EQ(response.headers.count("x-bwwall-degraded"), 0u);
     }
     server.stop();
+}
+
+/** A server whose idle sweep closes connections after ~100 ms. */
+class HttpClientReuseTest : public testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        ServerConfig config;
+        config.port = 0;
+        config.threads = 2;
+        config.idleTimeoutMs = 100;
+        server_ = std::make_unique<BwwallServer>(config);
+        server_->start();
+    }
+
+    void
+    TearDown() override
+    {
+        server_->stop();
+    }
+
+    /**
+     * Outwaits the idle sweep (timeout plus one 250 ms sweep
+     * period): it writes an unsolicited 408 into every idle
+     * connection and closes it.
+     */
+    static void
+    outwaitIdleSweep()
+    {
+        std::this_thread::sleep_for(std::chrono::milliseconds(700));
+    }
+
+    std::unique_ptr<BwwallServer> server_;
+};
+
+TEST_F(HttpClientReuseTest, PlainClientOutlivesTheIdleSweep)
+{
+    HttpClient client("127.0.0.1", server_->port());
+    HttpClientResponse response;
+    std::string error;
+    ASSERT_TRUE(client.perform({.target = "/healthz"}, &response, &error))
+        << error;
+    ASSERT_EQ(response.status, 200);
+
+    // The sweep's 408 is no answer to the next request: the peek
+    // before reuse finds it and the request goes out afresh.
+    outwaitIdleSweep();
+    ASSERT_TRUE(client.perform({.target = "/healthz"}, &response, &error))
+        << error;
+    EXPECT_EQ(response.status, 200) << response.body;
+    EXPECT_EQ(client.staleDropped(), 1u);
+    EXPECT_EQ(client.connects(), 2u);
+}
+
+TEST_F(HttpClientReuseTest, StreamedAppendOutlivesTheIdleSweep)
+{
+    HttpClient client("127.0.0.1", server_->port());
+    HttpClientResponse response;
+    std::string error;
+    ASSERT_TRUE(client.perform({.method = "POST",
+                                .target = "/v1/trace/ingest",
+                                .body = "{\"format\":\"text\"}"},
+                               &response, &error))
+        << error;
+    ASSERT_EQ(response.status, 200) << response.body;
+    JsonValue created;
+    ASSERT_TRUE(JsonValue::parse(response.body, &created, &error))
+        << error;
+    const std::string target =
+        "/v1/trace/ingest/" + created.find("id")->asString();
+
+    // A streamed body cannot be resent, so only the peek before
+    // reuse keeps it off the swept connection.
+    outwaitIdleSweep();
+    const std::string records = "R 64\nW 128\n";
+    HttpClient::Request append{.method = "POST", .target = target};
+    append.bodyProvider = [&records, sent = false](
+                              char *buffer, std::size_t cap) mutable {
+        if (sent || cap < records.size())
+            return std::size_t{0};
+        sent = true;
+        std::memcpy(buffer, records.data(), records.size());
+        return records.size();
+    };
+    ASSERT_TRUE(client.perform(append, &response, &error)) << error;
+    EXPECT_EQ(response.status, 200) << response.body;
+    EXPECT_EQ(client.staleDropped(), 1u);
 }
 
 TEST(HttpClientTimeoutTest, ConnectTimeoutBoundsUnreachableHosts)
@@ -764,7 +873,7 @@ TEST(HttpClientTimeoutTest, ConnectTimeoutBoundsUnreachableHosts)
     HttpClientResponse response;
     std::string error;
     const auto start = std::chrono::steady_clock::now();
-    EXPECT_FALSE(client.get("/healthz", &response, &error));
+    EXPECT_FALSE(client.perform({.target = "/healthz"}, &response, &error));
     const double elapsed =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - start)

@@ -338,8 +338,9 @@ class IngestHttpTest : public testing::Test
     {
         HttpClientResponse response;
         std::string error;
-        EXPECT_TRUE(client_->post("/v1/trace/ingest", body,
-                                  &response, &error))
+        EXPECT_TRUE(client_->perform(
+            {.method = "POST", .target = "/v1/trace/ingest", .body = body},
+            &response, &error))
             << error;
         EXPECT_EQ(200, response.status) << response.body;
         return parsedBody(response.body).find("id")->asString();
@@ -383,8 +384,8 @@ TEST_F(IngestHttpTest, ChunkedAppendsMatchOneShotEstimator)
 
     HttpClientResponse snapshot;
     std::string error;
-    ASSERT_TRUE(client_->get("/v1/trace/ingest/" + id, &snapshot,
-                             &error))
+    ASSERT_TRUE(client_->perform(
+        {.target = "/v1/trace/ingest/" + id}, &snapshot, &error))
         << error;
     ASSERT_EQ(200, snapshot.status) << snapshot.body;
     const JsonValue live = parsedBody(snapshot.body);
@@ -435,9 +436,10 @@ TEST_F(IngestHttpTest, ContentLengthAppendAlsoStreams)
     std::string error;
     // A plain Content-Length POST to the streaming route goes
     // through the same sink path.
-    ASSERT_TRUE(client_->post("/v1/trace/ingest/" + id,
-                              "R 64\nW 128\n", &response,
-                              &error))
+    ASSERT_TRUE(client_->perform(
+        {.method = "POST", .target = "/v1/trace/ingest/" + id,
+         .body = "R 64\nW 128\n"},
+        &response, &error))
         << error;
     ASSERT_EQ(200, response.status) << response.body;
     EXPECT_EQ(2, parsedBody(response.body)
@@ -468,9 +470,10 @@ TEST(IngestShardTest, TwoShardsAppendWhileSweepingExpiry)
             client.setReadTimeoutMs(10000);
             HttpClientResponse response;
             std::string error;
-            if (!client.post("/v1/trace/ingest",
-                             "{\"format\":\"text\"}", &response,
-                             &error) ||
+            if (!client.perform(
+                {.method = "POST", .target = "/v1/trace/ingest",
+                 .body = "{\"format\":\"text\"}"},
+                &response, &error) ||
                 response.status != 200) {
                 failures.fetch_add(1);
                 return;
@@ -479,8 +482,10 @@ TEST(IngestShardTest, TwoShardsAppendWhileSweepingExpiry)
                 "/v1/trace/ingest/" +
                 parsedBody(response.body).find("id")->asString();
             for (int i = 0; i < kAppends; ++i) {
-                if (!client.post(path, "R 64\nW 128\n", &response,
-                                 &error) ||
+                if (!client.perform(
+                    {.method = "POST", .target = path,
+                     .body = "R 64\nW 128\n"},
+                    &response, &error) ||
                     response.status != 200)
                     failures.fetch_add(1);
             }
@@ -501,31 +506,35 @@ TEST_F(IngestHttpTest, LifecycleErrorsOverTheWire)
     HttpClientResponse response;
     std::string error;
     // 404 unknown session.
-    ASSERT_TRUE(client_->get("/v1/trace/ingest/ingest-999",
-                             &response, &error));
+    ASSERT_TRUE(client_->perform(
+        {.target = "/v1/trace/ingest/ingest-999"}, &response, &error));
     EXPECT_EQ(404, response.status);
 
     // 409 append after finalize (fresh connections: refusals
     // close the connection).
     const std::string id =
         createSession("{\"format\":\"text\"}");
-    ASSERT_TRUE(client_->request("DELETE",
-                                 "/v1/trace/ingest/" + id, "",
-                                 &response, &error));
+    ASSERT_TRUE(client_->perform(
+        {.method = "DELETE", .target = "/v1/trace/ingest/" + id},
+        &response, &error));
     EXPECT_EQ(200, response.status);
-    ASSERT_TRUE(client_->post("/v1/trace/ingest/" + id, "R 64\n",
-                              &response, &error))
+    ASSERT_TRUE(client_->perform(
+        {.method = "POST", .target = "/v1/trace/ingest/" + id,
+         .body = "R 64\n"},
+        &response, &error))
         << error;
     EXPECT_EQ(409, response.status);
 
     // 405 wrong method on the create route.
-    ASSERT_TRUE(client_->request("DELETE", "/v1/trace/ingest",
-                                 "", &response, &error));
+    ASSERT_TRUE(client_->perform(
+        {.method = "DELETE", .target = "/v1/trace/ingest"},
+        &response, &error));
     EXPECT_EQ(405, response.status);
 
     // 400 malformed create body.
-    ASSERT_TRUE(client_->post("/v1/trace/ingest", "{nope",
-                              &response, &error));
+    ASSERT_TRUE(client_->perform(
+        {.method = "POST", .target = "/v1/trace/ingest", .body = "{nope"},
+        &response, &error));
     EXPECT_EQ(400, response.status);
 }
 
@@ -536,12 +545,16 @@ TEST_F(IngestHttpTest, AppendFaultIs500AndFailsTheSession)
     ScopedFaultInjection faults("seed=3;ingest.append=nth:1");
     HttpClientResponse response;
     std::string error;
-    ASSERT_TRUE(client_->post("/v1/trace/ingest/" + id, "R 64\n",
-                              &response, &error))
+    ASSERT_TRUE(client_->perform(
+        {.method = "POST", .target = "/v1/trace/ingest/" + id,
+         .body = "R 64\n"},
+        &response, &error))
         << error;
     EXPECT_EQ(500, response.status);
-    ASSERT_TRUE(client_->post("/v1/trace/ingest/" + id, "R 64\n",
-                              &response, &error))
+    ASSERT_TRUE(client_->perform(
+        {.method = "POST", .target = "/v1/trace/ingest/" + id,
+         .body = "R 64\n"},
+        &response, &error))
         << error;
     EXPECT_EQ(409, response.status);
 }
