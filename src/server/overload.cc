@@ -117,7 +117,12 @@ OverloadController::admit(const std::string &path, unsigned inflight)
         ? 0.0
         : static_cast<double>(inflight) /
             static_cast<double>(config_.maxInflight);
-    const double p99 = p99Locked(Clock::now());
+    // Sorting the window costs microseconds and every model query
+    // passes here, most on an io shard: only latency admission
+    // needs it.
+    const double p99 = config_.shedP99Seconds > 0.0
+                           ? p99Locked(Clock::now())
+                           : 0.0;
     const bool latency_pressed =
         config_.shedP99Seconds > 0.0 && p99 > config_.shedP99Seconds;
     if (latency_pressed && p99 > 2.0 * config_.shedP99Seconds) {

@@ -43,6 +43,21 @@ wakeEventFd(int fd, std::uint64_t count = 1)
         ::write(fd, &count, sizeof(count));
 }
 
+/**
+ * The answer when the owner's handler or inline hook breaks its
+ * no-throw contract: survive it the way a worker survived a bad
+ * connection.
+ */
+HttpResponse
+abortedRequest(MetricsRegistry *metrics, const std::exception &e)
+{
+    warn("request aborted: ", e.what());
+    metrics->addCounter("server.connection_errors");
+    return httpErrorResponseFor(
+        {ErrorCategory::Faulted,
+         std::string("internal error: ") + e.what()});
+}
+
 } // namespace
 
 unsigned
@@ -129,11 +144,13 @@ HttpReactor::HttpReactor(ReactorConfig config,
                          MetricsRegistry *metrics, Handler handler,
                          TracePredicate traced,
                          StreamPredicate streamed,
-                         StreamOpenFn streamOpen)
+                         StreamOpenFn streamOpen,
+                         InlineFn answerInline)
     : config_(std::move(config)), metrics_(metrics),
       handler_(std::move(handler)), traced_(std::move(traced)),
       streamed_(std::move(streamed)),
-      streamOpen_(std::move(streamOpen))
+      streamOpen_(std::move(streamOpen)),
+      answerInline_(std::move(answerInline))
 {}
 
 HttpReactor::~HttpReactor()
@@ -410,7 +427,7 @@ HttpReactor::shedRequest(Shard &shard, Conn *conn)
     respond(shard, conn, serializeHttpResponse(response), true);
 }
 
-void
+bool
 HttpReactor::pumpStreamBody(Shard &shard, Conn *conn, bool eof)
 {
     std::string body;
@@ -424,7 +441,7 @@ HttpReactor::pumpStreamBody(Shard &shard, Conn *conn, bool eof)
         conn->sink.reset(); // destroyed-before-complete == abort
         respond(shard, conn, serializeHttpResponse(malformed),
                 true);
-        return;
+        return false;
     }
     if (!body.empty()) {
         HttpResponse error;
@@ -436,7 +453,7 @@ HttpReactor::pumpStreamBody(Shard &shard, Conn *conn, bool eof)
             error.close = true;
             respond(shard, conn, serializeHttpResponse(error),
                     true);
-            return;
+            return false;
         }
     }
     if (done) {
@@ -444,29 +461,70 @@ HttpReactor::pumpStreamBody(Shard &shard, Conn *conn, bool eof)
         conn->sink.reset();
         if (!conn->streamKeepAlive || stopping())
             response.close = true;
-        if (!respond(shard, conn, serializeHttpResponse(response),
-                     response.close))
-            return;
-        if (!response.close)
-            pumpRequests(shard, conn, eof);
-        return;
+        return respond(shard, conn, serializeHttpResponse(response),
+                       response.close) &&
+               !response.close;
     }
     if (eof) {
         // Peer vanished mid-stream; the sink's destructor records
         // the abort.
         closeConn(shard, conn);
     }
+    return false;
+}
+
+std::string
+HttpReactor::finishResponse(const WorkItem &item,
+                            HttpResponse &response, bool *close)
+{
+    if (!item.request.keepAlive || stopping())
+        response.close = true;
+    *close = response.close;
+    Span serialize_span("server.serialize");
+    return serializeHttpResponse(response);
+}
+
+bool
+HttpReactor::answerInline(WorkItem &item, std::string *wire,
+                          bool *close)
+{
+    if (answerInline_ == nullptr)
+        return false;
+    const ScopedThreadTrace trace_scope(item.traced);
+    Span request_span("server.request");
+    HttpResponse response;
+    try {
+        if (!answerInline_(item.request, item.received,
+                           inflight_.load(std::memory_order_relaxed),
+                           &response, &item.prepared)) {
+            // The compute thread records this request's
+            // "server.request"; the shard's share is preparing it.
+            request_span.rename("server.prepare");
+            return false;
+        }
+    } catch (const std::exception &e) {
+        response = abortedRequest(metrics_, e);
+    }
+    *wire = finishResponse(item, response, close);
+    return true;
 }
 
 void
 HttpReactor::pumpRequests(Shard &shard, Conn *conn, bool eof)
 {
-    if (conn->sink != nullptr) {
-        pumpStreamBody(shard, conn, eof);
-        return;
+    // A loop, not recursion: a client may pipeline thousands of
+    // requests that the shard answers inline or that stream.
+    while (pumpRequest(shard, conn, eof)) {
     }
+}
+
+bool
+HttpReactor::pumpRequest(Shard &shard, Conn *conn, bool eof)
+{
+    if (conn->sink != nullptr)
+        return pumpStreamBody(shard, conn, eof);
     if (conn->computing)
-        return; // strictly one request in flight per connection
+        return false; // strictly one request in flight per connection
     HttpRequest request;
     switch (conn->parser.poll(&request)) {
       case HttpParseStatus::Ok: {
@@ -475,14 +533,23 @@ HttpReactor::pumpRequests(Shard &shard, Conn *conn, bool eof)
             inflight_.load(std::memory_order_relaxed) >=
                 config_.maxInflight) {
             shedRequest(shard, conn);
-            return;
+            return false;
         }
         WorkItem item;
         item.shard = shard.index;
         item.connId = conn->id;
         item.request = std::move(request);
         item.received = received;
+        item.traced = traced_ != nullptr && traced_(item.request);
         inflight_.fetch_add(1, std::memory_order_relaxed);
+        std::string wire;
+        bool close = false;
+        if (answerInline(item, &wire, &close)) {
+            inflight_.fetch_sub(1, std::memory_order_relaxed);
+            // Answered: go on to the pipelined follow-ups.
+            return respond(shard, conn, std::move(wire), close) &&
+                   !conn->closeAfterWrite;
+        }
         queued_.fetch_add(1);
         conn->computing = true;
         shard.outstanding += 1;
@@ -493,18 +560,18 @@ HttpReactor::pumpRequests(Shard &shard, Conn *conn, bool eof)
             conn->computing = false;
             shard.outstanding -= 1;
             shedRequest(shard, conn);
-            return;
+            return false;
         }
         wakeEventFd(computeSem_);
         updateInterest(shard, conn); // reads wait for the answer
-        return;
+        return false;
       }
       case HttpParseStatus::NeedMore: {
         if (!eof)
-            return;
+            return false;
         if (conn->parser.empty()) {
             closeConn(shard, conn); // clean close between requests
-            return;
+            return false;
         }
         metrics_->addCounter("server.malformed_requests");
         HttpResponse malformed = httpErrorResponse(
@@ -512,7 +579,7 @@ HttpReactor::pumpRequests(Shard &shard, Conn *conn, bool eof)
         malformed.close = true;
         respond(shard, conn, serializeHttpResponse(malformed),
                 true);
-        return;
+        return false;
       }
       case HttpParseStatus::Malformed: {
         metrics_->addCounter("server.malformed_requests");
@@ -521,7 +588,7 @@ HttpReactor::pumpRequests(Shard &shard, Conn *conn, bool eof)
         malformed.close = true;
         respond(shard, conn, serializeHttpResponse(malformed),
                 true);
-        return;
+        return false;
       }
       case HttpParseStatus::TooLarge: {
         metrics_->addCounter("server.oversized_requests");
@@ -530,7 +597,7 @@ HttpReactor::pumpRequests(Shard &shard, Conn *conn, bool eof)
         too_large.close = true;
         respond(shard, conn, serializeHttpResponse(too_large),
                 true);
-        return;
+        return false;
       }
       case HttpParseStatus::Unsupported: {
         HttpResponse unsupported = httpErrorResponse(
@@ -538,7 +605,7 @@ HttpReactor::pumpRequests(Shard &shard, Conn *conn, bool eof)
         unsupported.close = true;
         respond(shard, conn, serializeHttpResponse(unsupported),
                 true);
-        return;
+        return false;
       }
       case HttpParseStatus::Streaming: {
         HttpResponse refusal = httpErrorResponse(
@@ -551,27 +618,25 @@ HttpReactor::pumpRequests(Shard &shard, Conn *conn, bool eof)
             refusal.close = true;
             respond(shard, conn, serializeHttpResponse(refusal),
                     true);
-            return;
+            return false;
         }
         conn->sink = std::move(sink);
         conn->streamKeepAlive = request.keepAlive;
-        pumpStreamBody(shard, conn, eof);
-        return;
+        return true; // the sink takes the body next
       }
     }
+    return false;
 }
 
 void
 HttpReactor::handleReadable(Shard &shard, Conn *conn)
 {
-    // The chaos harness's short read / peer reset.
+    // The chaos harness's peer reset: the connection drops with
+    // no response, so a client sees a transport failure it may
+    // retry, never a 400 it must not.
     if (FAULT_POINT("http.read")) {
         metrics_->addCounter("server.malformed_requests");
-        HttpResponse malformed = httpErrorResponse(
-            400, "malformed HTTP request");
-        malformed.close = true;
-        respond(shard, conn, serializeHttpResponse(malformed),
-                true);
+        closeConn(shard, conn);
         return;
     }
     bool eof = false;
@@ -773,30 +838,18 @@ HttpReactor::computeLoop()
         std::string wire;
         bool close = false;
         {
-            const bool traced =
-                traced_ != nullptr && traced_(item.request);
-            const ScopedThreadTrace trace_scope(traced);
+            const ScopedThreadTrace trace_scope(item.traced);
             Span request_span("server.request");
             HttpResponse response;
             try {
                 response = handler_(
                     item.request, item.received,
-                    inflight_.load(std::memory_order_relaxed));
+                    inflight_.load(std::memory_order_relaxed),
+                    item.prepared.get());
             } catch (const std::exception &e) {
-                // The handler contract is no-throw; survive a
-                // violation the way a worker survived a bad
-                // connection.
-                warn("request aborted: ", e.what());
-                metrics_->addCounter("server.connection_errors");
-                response = httpErrorResponseFor(
-                    {ErrorCategory::Faulted,
-                     std::string("internal error: ") + e.what()});
+                response = abortedRequest(metrics_, e);
             }
-            if (!item.request.keepAlive || stopping())
-                response.close = true;
-            close = response.close;
-            Span serialize_span("server.serialize");
-            wire = serializeHttpResponse(response);
+            wire = finishResponse(item, response, &close);
         }
 
         Shard &shard = *shards_[item.shard];

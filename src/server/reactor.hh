@@ -10,31 +10,39 @@
  *    sockets round-robin to a small fixed pool of event-loop
  *    *shards* (one epoll instance + thread each, sized to cores).
  *  - Each shard owns its connections outright: non-blocking reads
- *    feed an incremental HttpParser, complete requests are handed to
- *    a compute pool over a lock-free MPMC queue (an eventfd
- *    semaphore carries the wakeups, one token per item), and
- *    finished responses come back through a per-shard completion
- *    queue drained on an eventfd wake.
+ *    feed an incremental HttpParser, and the owner's optional
+ *    inline hook sees each parsed request first.  The hook may
+ *    answer it right there on the shard (bwwalld answers fresh
+ *    cache hits this way), with no queue hop and no thread wake.
+ *  - Every request the hook declines goes to a compute pool over a
+ *    lock-free MPMC queue (an eventfd semaphore carries the
+ *    wakeups, one token per item), carrying what the hook already
+ *    worked out, and its response comes back through a per-shard
+ *    completion queue drained on an eventfd wake.
  *  - Write-back is a per-connection output buffer flushed as far as
  *    the socket allows; EPOLLOUT is armed only while bytes remain,
  *    so a slow reader costs a buffer, not a thread.
  *
  * One request is in flight per connection at a time (EPOLLIN is
- * disarmed while its request computes), which preserves the blocking
- * server's serial per-connection semantics — and therefore its
- * byte-exact response ordering — while tens of thousands of idle
- * keep-alive connections cost only their sockets.
+ * disarmed while its request computes, and nothing further is
+ * parsed from it), which preserves the blocking server's serial
+ * per-connection semantics — and therefore its byte-exact response
+ * ordering — while tens of thousands of idle keep-alive connections
+ * cost only their sockets.  Pipelined requests the shard answers
+ * itself are drained in a loop, never by recursion.
  *
  * Admission is two-layered: a connection cap (maxConnections) sheds
  * at accept, and a request cap (maxInflight, counting parsed
- * requests queued or computing) sheds at parse time; both answer
+ * requests queued or computing, and the one the shard is working
+ * on) sheds at parse time, before the inline hook; both answer
  * 503 + Retry-After.  The request-level overload policy (breakers,
- * selective shedding, degraded sweeps) stays in the handler, which
- * runs on the compute pool.
+ * selective shedding, degraded sweeps) belongs to the owner, which
+ * decides it once per request in the hook.
  *
- * Chaos parity: the PR 5 fault points fire in the same places as on
+ * Chaos parity: the fault points fire in the same places as on
  * the blocking server — server.accept after the connection counter,
- * http.read per read-readiness, http.write once per response flush,
+ * http.read per read-readiness (a peer reset: the connection closes
+ * with no response), http.write once per response flush,
  * http.write.short capping each send() at one byte.
  */
 
@@ -74,8 +82,8 @@ struct ReactorConfig
     unsigned maxConnections = 16384;
 
     /**
-     * Parsed requests queued or computing before parse-time 503
-     * (0 = unlimited).
+     * Parsed requests in service (queued, computing, or in the
+     * inline hook) before parse-time 503 (0 = unlimited).
      */
     unsigned maxInflight = 256;
 
@@ -116,8 +124,10 @@ class HttpStreamSink
 
 /**
  * The event-loop core.  The owner supplies the request handler
- * (invoked on a compute thread; must not throw) and an optional
- * trace predicate deciding which requests record spans.
+ * (invoked on a compute thread; must not throw), an optional
+ * shard-side hook that may answer a request without the compute
+ * pool, and an optional trace predicate deciding which requests
+ * record spans.
  */
 class HttpReactor
 {
@@ -125,13 +135,42 @@ class HttpReactor
     using Clock = std::chrono::steady_clock;
 
     /**
+     * What the shard-side hook already computed for a request it
+     * did not answer (a parsed body, a cache key, an admission
+     * decision), handed to the Handler so nothing is done twice.
+     * Opaque to the reactor; the owner derives its own type.
+     */
+    struct Prepared
+    {
+        Prepared() = default;
+        Prepared(const Prepared &) = delete;
+        Prepared &operator=(const Prepared &) = delete;
+        virtual ~Prepared() = default;
+    };
+
+    /**
      * Serves one request.  `received` is when the request finished
      * parsing; `inflight` is the request-level inflight count for
-     * overload pressure.
+     * overload pressure; `prepared` is what the shard-side hook
+     * left for this request, or null.
      */
     using Handler = std::function<HttpResponse(
         const HttpRequest &request, Clock::time_point received,
-        unsigned inflight)>;
+        unsigned inflight, Prepared *prepared)>;
+
+    /**
+     * Runs on the shard thread for each parsed request that passed
+     * the maxInflight check, with the same arguments the Handler
+     * would get.  Returns true with *response filled to answer the
+     * request right there, with no compute-pool hop; returns false
+     * to send it to the compute pool, with *prepared (if set)
+     * passed on to the Handler.  Must be fast, must not block, and
+     * must not throw.
+     */
+    using InlineFn = std::function<bool(
+        const HttpRequest &request, Clock::time_point received,
+        unsigned inflight, HttpResponse *response,
+        std::unique_ptr<Prepared> *prepared)>;
 
     using TracePredicate =
         std::function<bool(const HttpRequest &request)>;
@@ -155,7 +194,8 @@ class HttpReactor
                 Handler handler,
                 TracePredicate traced = nullptr,
                 StreamPredicate streamed = nullptr,
-                StreamOpenFn streamOpen = nullptr);
+                StreamOpenFn streamOpen = nullptr,
+                InlineFn answerInline = nullptr);
 
     /** Drains and joins if still running. */
     ~HttpReactor();
@@ -188,7 +228,7 @@ class HttpReactor
         return stopping_.load(std::memory_order_acquire);
     }
 
-    /** Parsed requests currently queued or computing. */
+    /** Parsed requests currently in service (see maxInflight). */
     unsigned
     inflight() const
     {
@@ -206,6 +246,8 @@ class HttpReactor
         std::uint64_t connId = 0;
         HttpRequest request;
         Clock::time_point received{};
+        bool traced = false;
+        std::unique_ptr<Prepared> prepared;
     };
 
     /** One serialized response on its way back to a shard. */
@@ -223,11 +265,40 @@ class HttpReactor
     void adoptConnections(Shard &shard);
     void handleReadable(Shard &shard, Conn *conn);
 
-    /** Parses buffered bytes into requests until blocked. */
+    /**
+     * Parses buffered bytes into requests, answering inline ones
+     * in a loop, until a request goes to the compute pool, the
+     * input runs dry, or the connection closes.
+     */
     void pumpRequests(Shard &shard, Conn *conn, bool eof);
 
-    /** Feeds buffered streaming-body bytes into the open sink. */
-    void pumpStreamBody(Shard &shard, Conn *conn, bool eof);
+    /**
+     * One step of pumpRequests(): parses and serves or hands off
+     * one request (or one stream's buffered body); true when the
+     * connection can go straight on to its next request.
+     */
+    bool pumpRequest(Shard &shard, Conn *conn, bool eof);
+
+    /**
+     * Feeds buffered streaming-body bytes into the open sink; true
+     * when the stream completed and the connection can parse its
+     * next request.
+     */
+    bool pumpStreamBody(Shard &shard, Conn *conn, bool eof);
+
+    /**
+     * Offers a parsed request to the inline hook under its trace
+     * scope.  True with *wire and *close set when the shard
+     * answered it; false leaves item.prepared for the pool.
+     */
+    bool answerInline(WorkItem &item, std::string *wire, bool *close);
+
+    /**
+     * The response's final close flag and wire bytes, under a
+     * "server.serialize" span — the last step of both paths.
+     */
+    std::string finishResponse(const WorkItem &item,
+                               HttpResponse &response, bool *close);
 
     void processCompletions(Shard &shard);
     void sweepIdle(Shard &shard);
@@ -252,6 +323,7 @@ class HttpReactor
     TracePredicate traced_;
     StreamPredicate streamed_;
     StreamOpenFn streamOpen_;
+    InlineFn answerInline_;
 
     int listenFd_ = -1;
     /** Self-pipe waking the accept poll() on requestStop(). */

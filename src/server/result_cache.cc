@@ -179,6 +179,29 @@ ResultCache::insertLocked(
     shard.entries.insert_or_assign(key, std::move(entry));
 }
 
+std::shared_ptr<const CachedResponse>
+ResultCache::freshHitLocked(Shard &shard, Entry &entry,
+                            Clock::time_point now)
+{
+    if (ttl_.count() > 0 && now >= entry.expiry)
+        return nullptr;
+    shard.lru.splice(shard.lru.begin(), shard.lru, entry.lruIt);
+    if (metrics_ != nullptr)
+        metrics_->addCounter("cache.hits");
+    return entry.response;
+}
+
+std::shared_ptr<const CachedResponse>
+ResultCache::getFresh(const std::string &key)
+{
+    Shard &shard = shardFor(key);
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    const auto it = shard.entries.find(key);
+    if (it == shard.entries.end())
+        return nullptr;
+    return freshHitLocked(shard, it->second, Clock::now());
+}
+
 ResultCache::Outcome
 ResultCache::getOrCompute(const std::string &key,
                           const Compute &compute)
@@ -191,15 +214,8 @@ ResultCache::getOrCompute(const std::string &key,
         const auto it = shard.entries.find(key);
         if (it != shard.entries.end()) {
             const auto now = Clock::now();
-            const bool expired =
-                ttl_.count() > 0 && now >= it->second.expiry;
-            if (!expired) {
-                shard.lru.splice(shard.lru.begin(), shard.lru,
-                                 it->second.lruIt);
-                if (metrics_ != nullptr)
-                    metrics_->addCounter("cache.hits");
-                return {it->second.response, true, false, false};
-            }
+            if (auto fresh = freshHitLocked(shard, it->second, now))
+                return {std::move(fresh), true, false, false};
             const bool within_stale =
                 stale_.count() > 0 &&
                 now < it->second.expiry + stale_;

@@ -115,6 +115,16 @@ class ResultCache
     Outcome getOrCompute(const std::string &key,
                          const Compute &compute);
 
+    /**
+     * The fresh entry for `key`, counted and promoted exactly like
+     * a getOrCompute() hit, or nullptr — for a missing or expired
+     * entry, which is left untouched and uncounted for the
+     * getOrCompute() that follows.  Never computes or blocks on a
+     * flight.
+     */
+    std::shared_ptr<const CachedResponse>
+    getFresh(const std::string &key);
+
     /** Cached bytes across all shards. */
     std::size_t sizeBytes() const;
 
@@ -188,6 +198,14 @@ class ResultCache
     };
 
     Shard &shardFor(const std::string &key);
+
+    /**
+     * Under the shard lock: the entry's response if it has not
+     * expired at @p now, promoted to most recently used and counted
+     * as a hit; nullptr otherwise.
+     */
+    std::shared_ptr<const CachedResponse>
+    freshHitLocked(Shard &shard, Entry &entry, Clock::time_point now);
 
     /** Inserts under the shard lock, evicting LRU entries as needed. */
     void insertLocked(Shard &shard, const std::string &key,

@@ -1,6 +1,7 @@
 #include "server/server.hh"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "server/json.hh"
@@ -42,6 +43,43 @@ resolveIoShards(unsigned requested)
 }
 
 } // namespace
+
+/**
+ * One model query's admission decision, parsed body, and cache key:
+ * worked out once, on the io shard, and handed to the compute pool
+ * with the request whenever the shard does not answer it.
+ */
+struct BwwallServer::ModelQuery final : HttpReactor::Prepared
+{
+    AdmitDecision decision = AdmitDecision::Admit;
+
+    /**
+     * Set once the answer is known without the cache: a shed, a bad
+     * body, or a hit found after the deadline passed.
+     */
+    std::optional<HttpResponse> answer;
+
+    JsonValue body;
+    std::string key;
+
+    /** The body was reduced to a degraded sweep. */
+    bool degraded = false;
+
+    /** Another node's fill RPC (X-BWWall-Peer-Fill). */
+    bool peerFill = false;
+
+    /**
+     * Seconds after parsing that the caller's answer is due: the
+     * stricter of --deadline-ms and X-BWWall-Deadline-Ms (0 = none).
+     */
+    double deadline = 0.0;
+
+    bool
+    pastDeadline(std::chrono::steady_clock::time_point received) const
+    {
+        return deadline > 0.0 && secondsSince(received) > deadline;
+    }
+};
 
 BwwallServer::BwwallServer(ServerConfig config)
     : config_(std::move(config))
@@ -136,8 +174,10 @@ BwwallServer::start()
     reactor_ = std::make_unique<HttpReactor>(
         reactor_config, &metrics_,
         [this](const HttpRequest &request,
-               Clock::time_point received, unsigned inflight) {
-            return dispatch(request, received, inflight);
+               Clock::time_point received, unsigned inflight,
+               HttpReactor::Prepared *prepared) {
+            return dispatch(request, received, inflight,
+                            static_cast<ModelQuery *>(prepared));
         },
         [this](const HttpRequest &request) {
             return requestTraced(request);
@@ -165,6 +205,13 @@ BwwallServer::start()
             metrics_.addCounter(endpoint + ".requests");
             return ingest_->openAppend(
                 routePathParam(*route, request.path), refusal);
+        },
+        [this](const HttpRequest &request,
+               Clock::time_point received, unsigned inflight,
+               HttpResponse *response,
+               std::unique_ptr<HttpReactor::Prepared> *prepared) {
+            return answerInline(request, received, inflight,
+                                response, prepared);
         });
     reactor_->start();
     if (!config_.cachePersistPath.empty() &&
@@ -261,53 +308,142 @@ BwwallServer::handleMetrics(const HttpRequest &request) const
     return response;
 }
 
-HttpResponse
-BwwallServer::handleModelQuery(const HttpRequest &request,
-                               Clock::time_point received,
-                               bool degraded)
+void
+BwwallServer::prepareModelQuery(const HttpRequest &request,
+                                unsigned inflight, ModelQuery *query)
 {
-    JsonValue body;
+    query->decision = overload_->admit(request.path, inflight);
+    if (query->decision == AdmitDecision::Shed) {
+        metrics_.addCounter("server.shed");
+        HttpResponse shed = httpErrorResponseFor(
+            {ErrorCategory::Overload,
+             "shed by overload control; retry later"});
+        shed.headers["Retry-After"] =
+            std::to_string(overload_->retryAfterSeconds());
+        query->answer = std::move(shed);
+        return;
+    }
+
     std::string parse_error;
-    bool parsed;
+    bool parsed = false;
     {
         Span parse_span("server.parse");
         parsed = JsonValue::parse(request.body.empty()
                                       ? "{}"
                                       : request.body,
-                                  &body, &parse_error);
+                                  &query->body, &parse_error);
     }
-    if (!parsed)
-        return httpErrorResponseFor(
+    if (!parsed) {
+        query->answer = httpErrorResponseFor(
             {ErrorCategory::InvalidInput,
              "malformed JSON body: " + parse_error});
-    if (!body.isObject())
-        return httpErrorResponseFor(
+        return;
+    }
+    if (!query->body.isObject()) {
+        query->answer = httpErrorResponseFor(
             {ErrorCategory::InvalidInput,
              "request body must be a JSON object"});
+        return;
+    }
 
-    bool was_degraded = false;
-    if (degraded && request.path == "/v1/sweep") {
+    if (query->decision == AdmitDecision::AdmitDegraded &&
+        request.path == "/v1/sweep") {
         // The transformed body is also the cache key, so degraded
         // and full-resolution answers never collide in the cache.
-        was_degraded = degradeSweepRequest(&body);
-        if (was_degraded)
+        query->degraded = degradeSweepRequest(&query->body);
+        if (query->degraded)
             metrics_.addCounter("server.degraded");
     }
 
-    // The effective deadline is the stricter of the server's
-    // --deadline-ms and the client's X-BWWall-Deadline-Ms budget.
-    double deadline =
+    const double server_deadline =
         static_cast<double>(config_.deadlineMs) / 1000.0;
-    bool has_deadline = config_.deadlineMs != 0;
     const double client = clientDeadlineMs(request) / 1000.0;
-    if (client > 0.0 && (!has_deadline || client < deadline)) {
-        deadline = client;
-        has_deadline = true;
-    }
-    try {
-        const std::string key =
-            canonicalCacheKey(request.path, body);
+    query->deadline = client > 0.0 && (server_deadline == 0.0 ||
+                                       client < server_deadline)
+                          ? client
+                          : server_deadline;
+    query->key = canonicalCacheKey(request.path, query->body);
+    query->peerFill =
+        request.headers.count(kPeerFillHeaderLower) != 0;
+    if (query->peerFill)
+        metrics_.addCounter("cluster.peer_fill.received");
+}
 
+bool
+BwwallServer::answerInline(
+    const HttpRequest &request, Clock::time_point received,
+    unsigned inflight, HttpResponse *response,
+    std::unique_ptr<HttpReactor::Prepared> *prepared)
+{
+    const Route *route = findRoute(request.path);
+    if (route == nullptr ||
+        route->handler != RouteHandler::ModelQuery ||
+        !routeAllowsMethod(*route, request.method))
+        return false;
+    auto query = std::make_unique<ModelQuery>();
+    prepareModelQuery(request, inflight, query.get());
+    if (!query->answer &&
+        query->decision == AdmitDecision::Admit) {
+        std::shared_ptr<const CachedResponse> hit;
+        {
+            Span cache_span("server.cache");
+            hit = cache_->getFresh(query->key);
+        }
+        if (hit != nullptr) {
+            traceInstant("server.cache_hit");
+            if (query->pastDeadline(received)) {
+                query->answer = deadlineExceeded();
+            } else {
+                metrics_.addCounter("server.inline_hits");
+                *response = cachedResponse(*hit, *query, false, false);
+                recordRequest(request, route, received, *response,
+                              true);
+                return true;
+            }
+        }
+    }
+    *prepared = std::move(query);
+    return false;
+}
+
+HttpResponse
+BwwallServer::deadlineExceeded()
+{
+    // The answer is computed (and cached for the retry), but this
+    // caller's deadline has already passed.
+    metrics_.addCounter("server.deadline_exceeded");
+    return httpErrorResponse(
+        504, "deadline exceeded; result cached for retry");
+}
+
+HttpResponse
+BwwallServer::cachedResponse(const CachedResponse &cached,
+                             const ModelQuery &query, bool stale,
+                             bool peer_filled)
+{
+    HttpResponse response;
+    response.status = cached.status;
+    response.contentType = cached.contentType;
+    response.body = cached.body;
+    if (stale) {
+        metrics_.addCounter("server.stale_served");
+        response.headers["X-BWWall-Stale"] = std::string("1");
+    }
+    if (peer_filled)
+        response.headers[kPeerFilledHeader] = std::string("1");
+    if (query.degraded)
+        response.headers["X-BWWall-Degraded"] = std::string("1");
+    return response;
+}
+
+HttpResponse
+BwwallServer::handleModelQuery(const HttpRequest &request,
+                               Clock::time_point received,
+                               ModelQuery &query)
+{
+    if (query.answer)
+        return std::move(*query.answer);
+    try {
         // Cluster mode (docs/CLUSTER.md): on a local miss for a
         // key another node owns, ask the owner once before
         // computing.  The fill runs inside the single-flight
@@ -319,23 +455,19 @@ BwwallServer::handleModelQuery(const HttpRequest &request,
         // re-forwarded.
         const std::shared_ptr<Cluster> cluster =
             clusterSnapshot();
-        const bool peer_fill_request =
-            request.headers.count(kPeerFillHeaderLower) != 0;
-        if (peer_fill_request)
-            metrics_.addCounter("cluster.peer_fill.received");
         bool peer_filled = false;
         Span cache_span("server.cache");
         const ResultCache::Outcome outcome =
-            cache_->getOrCompute(key, [&] {
+            cache_->getOrCompute(query.key, [&] {
                 if (cluster != nullptr && cluster->enabled()) {
-                    if (cluster->selfOwns(key)) {
+                    if (cluster->selfOwns(query.key)) {
                         // Counted whether the miss arrived
                         // directly or as a fill RPC, so
                         // owned + fallbacks is the exact
                         // cluster-wide compute count.
                         metrics_.addCounter(
                             "cluster.requests.owned");
-                    } else if (peer_fill_request) {
+                    } else if (query.peerFill) {
                         // Loop prevention: a fill for a key we
                         // do not own (membership disagreement)
                         // computes locally, never re-forwards.
@@ -347,13 +479,13 @@ BwwallServer::handleModelQuery(const HttpRequest &request,
                         Span fill_span("server.peer_fill");
                         HttpResponse filled;
                         const double remaining =
-                            has_deadline
-                                ? deadline -
+                            query.deadline > 0.0
+                                ? query.deadline -
                                       secondsSince(received)
                                 : -1.0;
                         if (cluster->fillFromPeer(
-                                cluster->owner(key),
-                                request.path, body.dump(),
+                                cluster->owner(query.key),
+                                request.path, query.body.dump(),
                                 remaining, &filled)) {
                             peer_filled = true;
                             CachedResponse cached;
@@ -368,34 +500,14 @@ BwwallServer::handleModelQuery(const HttpRequest &request,
                     }
                 }
                 Span compute_span("server.compute");
-                return executeModelQuery(request.path, body);
+                return executeModelQuery(request.path, query.body);
             });
         traceInstant(outcome.hit ? "server.cache_hit"
                                  : "server.cache_miss");
-
-        if (has_deadline && secondsSince(received) > deadline) {
-            // The answer is computed (and cached for the retry),
-            // but this caller's deadline has already passed.
-            metrics_.addCounter("server.deadline_exceeded");
-            return httpErrorResponse(
-                504, "deadline exceeded; result cached for retry");
-        }
-        HttpResponse response;
-        response.status = outcome.response->status;
-        response.contentType = outcome.response->contentType;
-        response.body = outcome.response->body;
-        if (outcome.stale) {
-            metrics_.addCounter("server.stale_served");
-            response.headers["X-BWWall-Stale"] =
-                std::string("1");
-        }
-        if (peer_filled)
-            response.headers[kPeerFilledHeader] =
-                std::string("1");
-        if (was_degraded)
-            response.headers["X-BWWall-Degraded"] =
-                std::string("1");
-        return response;
+        if (query.pastDeadline(received))
+            return deadlineExceeded();
+        return cachedResponse(*outcome.response, query,
+                              outcome.stale, peer_filled);
     } catch (const BadRequest &e) {
         return httpErrorResponseFor(
             {ErrorCategory::InvalidInput, e.what()});
@@ -487,12 +599,10 @@ BwwallServer::handleIngestSession(const HttpRequest &request,
 HttpResponse
 BwwallServer::dispatch(const HttpRequest &request,
                        Clock::time_point received,
-                       unsigned inflight)
+                       unsigned inflight, ModelQuery *prepared)
 {
-    metrics_.addCounter("server.requests");
-    requestCount_.fetch_add(1, std::memory_order_relaxed);
-
     HttpResponse response;
+    bool observed = false;
     const Route *route = findRoute(request.path);
     if (route == nullptr) {
         response = httpErrorResponse(
@@ -517,28 +627,13 @@ BwwallServer::dispatch(const HttpRequest &request,
           case RouteHandler::Cluster:
             response = handleCluster();
             break;
-          case RouteHandler::ModelQuery: {
-            const AdmitDecision decision =
-                overload_->admit(request.path, inflight);
-            if (decision == AdmitDecision::Shed) {
-                metrics_.addCounter("server.shed");
-                response = httpErrorResponseFor(
-                    {ErrorCategory::Overload,
-                     "shed by overload control; retry later"});
-                response.headers["Retry-After"] = std::to_string(
-                    overload_->retryAfterSeconds());
-            } else {
-                response = handleModelQuery(
-                    request, received,
-                    decision == AdmitDecision::AdmitDegraded);
-                // Sheds are not observed: only served requests
-                // feed the latency window and the breakers.
-                overload_->observe(request.path,
-                                   secondsSince(received),
-                                   response.status >= 500);
-            }
+          case RouteHandler::ModelQuery:
+            // answerInline() prepared it on the io shard.
+            response = handleModelQuery(request, received, *prepared);
+            // Sheds are not observed: only served requests feed
+            // the latency window and the breakers.
+            observed = prepared->decision != AdmitDecision::Shed;
             break;
-          }
           case RouteHandler::IngestCreate:
             response = handleIngestCreate(request);
             break;
@@ -548,8 +643,23 @@ BwwallServer::dispatch(const HttpRequest &request,
             break;
         }
     }
+    recordRequest(request, route, received, response, observed);
+    return response;
+}
 
+void
+BwwallServer::recordRequest(const HttpRequest &request,
+                            const Route *route,
+                            Clock::time_point received,
+                            const HttpResponse &response,
+                            bool observed)
+{
+    metrics_.addCounter("server.requests");
+    requestCount_.fetch_add(1, std::memory_order_relaxed);
     const double elapsed = secondsSince(received);
+    if (observed)
+        overload_->observe(request.path, elapsed,
+                           response.status >= 500);
     // Pattern routes aggregate under the route's path, and every
     // unmatched path under one "unknown" key, so neither per-id
     // URLs nor probes of random paths can grow the registry
@@ -567,7 +677,6 @@ BwwallServer::dispatch(const HttpRequest &request,
         inform(request.method, ' ', request.target, " -> ",
                response.status, " (",
                static_cast<int>(elapsed * 1e6), " us)");
-    return response;
 }
 
 void

@@ -4,11 +4,13 @@
  *
  * Architecture: an HttpReactor (server/reactor.hh) owns all I/O —
  * an accept thread deals non-blocking keep-alive sockets to a small
- * pool of epoll event-loop shards, parsed requests cross a
- * lock-free queue to a compute pool, and responses come back
- * through per-shard completion queues — so one daemon holds tens of
+ * pool of epoll event-loop shards, fresh cache hits are answered on
+ * the shard that parsed them, every other request crosses a
+ * lock-free queue to a compute pool, and its response comes back
+ * through a per-shard completion queue — so one daemon holds tens of
  * thousands of concurrent connections instead of one per worker
- * thread.  This layer owns the policy on top: the route table
+ * thread, and a hit never leaves its shard.  This layer owns the
+ * policy on top: the route table
  * (server/routes.hh) mapping method + path to a handler and a cost
  * class, the model-service handlers, the result cache, and the
  * overload controller.
@@ -255,10 +257,58 @@ class BwwallServer
   private:
     using Clock = std::chrono::steady_clock;
 
-    /** Routes one request via the route table; never throws. */
+    struct ModelQuery;
+
+    /**
+     * Routes one request via the route table; never throws.
+     * @param prepared What answerInline() worked out for a model
+     *                 query it did not answer (null otherwise).
+     */
     HttpResponse dispatch(const HttpRequest &request,
                           Clock::time_point received,
-                          unsigned inflight);
+                          unsigned inflight, ModelQuery *prepared);
+
+    /**
+     * The io shard's hook (HttpReactor::InlineFn): prepares every
+     * model query and answers a fresh, admitted, in-deadline cache
+     * hit right there; everything else goes to dispatch() on the
+     * compute pool, with the prepared query attached.
+     */
+    bool answerInline(const HttpRequest &request,
+                      Clock::time_point received, unsigned inflight,
+                      HttpResponse *response,
+                      std::unique_ptr<HttpReactor::Prepared> *prepared);
+
+    /**
+     * Admits, parses, and keys one model query: the single
+     * admit() call (a second could spend a breaker's half-open
+     * probe), the single parse, and the single cache-key build.
+     */
+    void prepareModelQuery(const HttpRequest &request,
+                           unsigned inflight, ModelQuery *query);
+
+    /** Serves a prepared model query through the cache. */
+    HttpResponse handleModelQuery(const HttpRequest &request,
+                                  Clock::time_point received,
+                                  ModelQuery &query);
+
+    /** The response for a cached answer, with its marker headers. */
+    HttpResponse cachedResponse(const CachedResponse &cached,
+                                const ModelQuery &query, bool stale,
+                                bool peer_filled);
+
+    /** The 504 for an answer that came after the caller's deadline. */
+    HttpResponse deadlineExceeded();
+
+    /**
+     * The bookkeeping every request passes through once, on
+     * whichever thread answered it: request and status counters,
+     * the endpoint's count and latency, the overload window (when
+     * @p observed), and the --log-requests line.
+     */
+    void recordRequest(const HttpRequest &request, const Route *route,
+                       Clock::time_point received,
+                       const HttpResponse &response, bool observed);
 
     /** POST /v1/trace/ingest: parse the body, open a session. */
     HttpResponse handleIngestCreate(const HttpRequest &request);
@@ -267,11 +317,6 @@ class BwwallServer
     HttpResponse handleIngestSession(const HttpRequest &request,
                                      const Route &route,
                                      unsigned inflight);
-
-    /** @param degraded Serve this sweep at reduced resolution. */
-    HttpResponse handleModelQuery(const HttpRequest &request,
-                                  Clock::time_point received,
-                                  bool degraded);
 
     HttpResponse handleMetrics(const HttpRequest &request) const;
 

@@ -111,6 +111,18 @@ recordCounter(const char *name, double value)
 
 } // namespace trace_detail
 
+ScopedThreadTrace::ScopedThreadTrace(bool enable)
+    : previous_(trace_detail::t_threadEnabled)
+{
+    if (enable)
+        trace_detail::t_threadEnabled = true;
+}
+
+ScopedThreadTrace::~ScopedThreadTrace()
+{
+    trace_detail::t_threadEnabled = previous_;
+}
+
 void
 setTraceThreadId(std::uint32_t tid)
 {

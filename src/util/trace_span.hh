@@ -258,6 +258,12 @@ class Span
     Span(const Span &) = delete;
     Span &operator=(const Span &) = delete;
 
+    /**
+     * Names the event this span records when it closes, for a scope
+     * whose role is only known at its end.  Pass a string literal.
+     */
+    void rename(const char *name) { name_ = name; }
+
   private:
     Span(const char *name, bool has_arg, std::uint64_t arg)
         : name_(name), arg_(arg), hasArg_(has_arg)
@@ -307,14 +313,12 @@ traceCounter(const char *name, double value)
 class ScopedThreadTrace
 {
   public:
-    explicit ScopedThreadTrace(bool enable = true)
-        : previous_(trace_detail::t_threadEnabled)
-    {
-        if (enable)
-            trace_detail::t_threadEnabled = true;
-    }
-
-    ~ScopedThreadTrace() { trace_detail::t_threadEnabled = previous_; }
+    // Defined beside t_threadEnabled, out of line: inlined elsewhere,
+    // the linker's relaxation of the thread-local access turns the
+    // flag-setting add that UBSan's null check reads into a lea, and
+    // UBSan reports a store to a null pointer that is not there.
+    explicit ScopedThreadTrace(bool enable = true);
+    ~ScopedThreadTrace();
 
     ScopedThreadTrace(const ScopedThreadTrace &) = delete;
     ScopedThreadTrace &operator=(const ScopedThreadTrace &) = delete;

@@ -302,6 +302,30 @@ TEST_F(ClusterWireTest, PeerFillIsByteIdenticalAndCounted)
         1u);
 }
 
+TEST_F(ClusterWireTest, FillAnsweredFromTheOwnersCacheIsCounted)
+{
+    // The owner already holds the key, so its io shard answers the
+    // fill RPC as a fresh hit; the fill still counts as received.
+    const std::string body = bodyOwnedBy(*a_, selfB_);
+    HttpClient clientB("127.0.0.1", b_->port());
+    HttpClientResponse owned;
+    std::string error;
+    ASSERT_TRUE(clientB.perform(
+        {.method = "POST", .target = "/v1/solve", .body = body},
+        &owned, &error))
+        << error;
+    ASSERT_EQ(owned.status, 200);
+
+    const HttpClientResponse filled = postA(body);
+    ASSERT_EQ(filled.status, 200);
+    EXPECT_EQ(filled.headers.count("x-bwwall-peer-filled"), 1u);
+    EXPECT_EQ(filled.body, owned.body);
+    EXPECT_EQ(b_->metrics().counter("server.inline_hits"), 1u);
+    EXPECT_EQ(
+        b_->metrics().counter("cluster.peer_fill.received"),
+        1u);
+}
+
 TEST_F(ClusterWireTest, OwnedKeysNeverFill)
 {
     const std::string body = bodyOwnedBy(*a_, selfA_);

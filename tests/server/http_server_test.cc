@@ -4,21 +4,30 @@
  * loopback port, driven through HttpClient.  Covers the golden
  * byte-identity guarantee (server responses == direct library
  * calls), protocol errors, caching and single-flight behaviour over
- * the wire, /metrics, and graceful shutdown.
+ * the wire, /metrics, graceful shutdown, and which requests the io
+ * shard answers itself (fresh, admitted cache hits) versus hands to
+ * the compute pool (stale entries, degraded sweeps).
  */
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <random>
 #include <set>
 #include <sstream>
@@ -479,6 +488,8 @@ TEST(HttpServerTraceTest, OptedInRequestRoundTripsThroughV1Trace)
     EXPECT_EQ(names.count("server.cache"), 1u);
     EXPECT_EQ(names.count("server.compute"), 1u);
     EXPECT_EQ(names.count("server.cache_miss"), 1u);
+    // The io shard's share of a request it sent on to the pool.
+    EXPECT_EQ(names.count("server.prepare"), 1u);
 
     // An opted-in cache hit records the hit marker, not a compute.
     ASSERT_TRUE(client->perform(
@@ -864,11 +875,38 @@ TEST_F(HttpClientReuseTest, StreamedAppendOutlivesTheIdleSweep)
 
 TEST(HttpClientTimeoutTest, ConnectTimeoutBoundsUnreachableHosts)
 {
-    // 10.255.255.1 is reserved/non-routable: connects either hang
-    // (the case the timeout exists for) or fail fast with a network
-    // error.  Either way the call must return promptly and report
-    // failure.
-    HttpClient client("10.255.255.1", 81);
+    // A loopback listener with a full accept queue drops every
+    // further SYN, so a connect to it hangs -- the case the timeout
+    // exists for -- without leaving the machine.  backlog 0 holds
+    // one connection; the fillers are never accepted.
+    const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(listener, 0);
+    sockaddr_in address{};
+    address.sin_family = AF_INET;
+    address.sin_port = 0;
+    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &address.sin_addr),
+              1);
+    ASSERT_EQ(::bind(listener,
+                     reinterpret_cast<const sockaddr *>(&address),
+                     sizeof(address)),
+              0);
+    ASSERT_EQ(::listen(listener, 0), 0);
+    socklen_t length = sizeof(address);
+    ASSERT_EQ(::getsockname(listener,
+                            reinterpret_cast<sockaddr *>(&address),
+                            &length),
+              0);
+    std::vector<int> fillers;
+    for (int i = 0; i < 4; ++i) {
+        const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+        ASSERT_GE(fd, 0);
+        ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
+        ::connect(fd, reinterpret_cast<const sockaddr *>(&address),
+                  sizeof(address));
+        fillers.push_back(fd);
+    }
+
+    HttpClient client("127.0.0.1", ntohs(address.sin_port));
     client.setConnectTimeoutMs(150);
     HttpClientResponse response;
     std::string error;
@@ -880,6 +918,194 @@ TEST(HttpClientTimeoutTest, ConnectTimeoutBoundsUnreachableHosts)
             .count();
     EXPECT_LT(elapsed, 5.0);
     EXPECT_FALSE(error.empty());
+    for (const int fd : fillers)
+        ::close(fd);
+    ::close(listener);
+}
+
+/** One server on a single io shard, and a client, per test. */
+class InlineHitTest : public testing::Test
+{
+  protected:
+    void
+    start(ServerConfig config)
+    {
+        config.port = 0;
+        config.threads = 2;
+        config.ioShards = 1;
+        server_ = std::make_unique<BwwallServer>(config);
+        server_->start();
+        client_ = std::make_unique<HttpClient>("127.0.0.1",
+                                               server_->port());
+    }
+
+    void
+    TearDown() override
+    {
+        client_.reset();
+        if (server_)
+            server_->stop();
+    }
+
+    HttpClientResponse
+    post(const std::string &path, const std::string &body,
+         std::map<std::string, std::string> headers = {})
+    {
+        HttpClientResponse response;
+        std::string error;
+        EXPECT_TRUE(client_->perform({.method = "POST",
+                                      .target = path,
+                                      .headers = std::move(headers),
+                                      .body = body},
+                                     &response, &error))
+            << error;
+        return response;
+    }
+
+    std::uint64_t
+    counter(const std::string &name)
+    {
+        return server_->metrics().counter(name);
+    }
+
+    std::unique_ptr<BwwallServer> server_;
+    std::unique_ptr<HttpClient> client_;
+};
+
+const char kSolve[] = "{\"alpha\":0.5,\"total_ceas\":32}";
+
+TEST_F(InlineHitTest, HitRaisesEachCounterByExactlyOne)
+{
+    start({});
+    ASSERT_EQ(post("/v1/solve", kSolve).status, 200); // the miss
+    EXPECT_EQ(counter("server.inline_hits"), 0u);
+    const std::uint64_t hits = counter("cache.hits");
+    const std::uint64_t endpoint =
+        counter("server.endpoint./v1/solve.requests");
+    const std::uint64_t requests = counter("server.requests");
+
+    const HttpClientResponse hit = post("/v1/solve", kSolve);
+    EXPECT_EQ(hit.status, 200);
+    EXPECT_EQ(counter("server.inline_hits"), 1u);
+    EXPECT_EQ(counter("cache.hits") - hits, 1u);
+    EXPECT_EQ(counter("server.endpoint./v1/solve.requests") -
+                  endpoint,
+              1u);
+    EXPECT_EQ(counter("server.requests") - requests, 1u);
+    EXPECT_EQ(counter("cache.misses"), 1u);
+}
+
+TEST_F(InlineHitTest, TracedInlineHitRecordsItsFourSpans)
+{
+    ServerConfig config;
+    config.trace = true; // standby: only opted-in requests record
+    start(config);
+    ASSERT_EQ(post("/v1/solve", kSolve).status, 200);
+    ASSERT_TRUE(server_->traceRecorder()->collect().empty());
+
+    ASSERT_EQ(post("/v1/solve", kSolve, {{"X-BWWall-Trace", "1"}})
+                  .status,
+              200);
+    EXPECT_EQ(counter("server.inline_hits"), 1u);
+    std::map<std::string, std::uint32_t> lanes;
+    for (const TraceEvent &event :
+         server_->traceRecorder()->collect()) {
+        if (event.kind == TraceEvent::Kind::Span)
+            lanes[event.name] = event.tid;
+    }
+    for (const char *name : {"server.request", "server.parse",
+                             "server.cache", "server.serialize"}) {
+        ASSERT_EQ(lanes.count(name), 1u) << name;
+        // All on the shard thread that answered it.
+        EXPECT_EQ(lanes[name], lanes["server.request"]) << name;
+    }
+    EXPECT_EQ(lanes.count("server.compute"), 0u);
+    EXPECT_EQ(lanes.count("server.prepare"), 0u);
+}
+
+TEST_F(InlineHitTest, StaleEntryIsServedByThePoolAndRevalidatedOnce)
+{
+    ServerConfig config;
+    config.cacheTtlSeconds = 0.05;
+    config.cacheStaleSeconds = 30.0;
+    start(config);
+    const HttpClientResponse fresh = post("/v1/solve", kSolve);
+    ASSERT_EQ(fresh.status, 200);
+    std::this_thread::sleep_for(std::chrono::milliseconds(120));
+
+    // Hold one revalidation of the expired entry open, the way a
+    // slow recompute would.
+    JsonValue body;
+    ASSERT_TRUE(JsonValue::parse(kSolve, &body));
+    const std::string key = canonicalCacheKey("/v1/solve", body);
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool release = false;
+    std::thread revalidation([&] {
+        server_->cache().getOrCompute(key, [&] {
+            std::unique_lock<std::mutex> lock(mutex);
+            cv.wait(lock, [&] { return release; });
+            return executeModelQuery("/v1/solve", body);
+        });
+    });
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::seconds(10);
+    while (counter("cache.revalidations") == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(counter("cache.revalidations"), 1u);
+
+    // The shard's fresh-only probe declines the expired entry; the
+    // pool serves it stale without starting a second revalidation.
+    const HttpClientResponse stale = post("/v1/solve", kSolve);
+    EXPECT_EQ(stale.status, 200);
+    EXPECT_EQ(stale.body, fresh.body);
+    ASSERT_EQ(stale.headers.count("x-bwwall-stale"), 1u);
+    EXPECT_EQ(stale.headers.at("x-bwwall-stale"), "1");
+    EXPECT_EQ(counter("server.inline_hits"), 0u);
+    EXPECT_EQ(counter("server.stale_served"), 1u);
+    EXPECT_EQ(counter("cache.revalidations"), 1u);
+
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        release = true;
+    }
+    cv.notify_all();
+    revalidation.join();
+
+    // Revalidated: fresh again, so the shard answers it.
+    const HttpClientResponse after = post("/v1/solve", kSolve);
+    EXPECT_EQ(after.status, 200);
+    EXPECT_EQ(after.headers.count("x-bwwall-stale"), 0u);
+    EXPECT_EQ(counter("server.inline_hits"), 1u);
+    EXPECT_EQ(counter("cache.revalidations"), 1u);
+}
+
+TEST_F(InlineHitTest, PressedSweepIsDegradedNeverAFullResolutionHit)
+{
+    ServerConfig config;
+    config.degradeSweeps = true;
+    config.degradePressure = 0.0; // every admitted sweep is pressed
+    start(config);
+    // The full-resolution answer is already cached.
+    const std::string sweep =
+        "{\"kind\":\"scaling\",\"generations\":8}";
+    JsonValue body;
+    ASSERT_TRUE(JsonValue::parse(sweep, &body));
+    const CachedResponse full = executeModelQuery("/v1/sweep", body);
+    server_->cache().getOrCompute(
+        canonicalCacheKey("/v1/sweep", body), [&] { return full; });
+
+    for (int i = 0; i < 2; ++i) {
+        const HttpClientResponse response = post("/v1/sweep", sweep);
+        EXPECT_EQ(response.status, 200);
+        ASSERT_EQ(response.headers.count("x-bwwall-degraded"), 1u)
+            << "request " << i;
+        EXPECT_EQ(response.headers.at("x-bwwall-degraded"), "1");
+        EXPECT_NE(response.body, full.body);
+    }
+    EXPECT_EQ(counter("server.inline_hits"), 0u);
+    EXPECT_EQ(counter("server.degraded"), 2u);
 }
 
 } // namespace

@@ -4,16 +4,18 @@
  * beyond the compute-thread count (the property the blocking
  * thread-per-connection server lacked), accept-time connection
  * admission, pipelined request ordering, fast graceful drain with
- * idle keep-alive connections parked, connection churn, and no
- * lost compute wake under multi-shard load.  The
- * TSan shard runs these to check the event-loop -> compute-pool ->
- * write-back handoff.
+ * idle keep-alive connections parked, connection churn, no
+ * lost compute wake under multi-shard load, and cache hits answered
+ * on the io shard (a pipelined flood of them, and one queued behind
+ * a miss).  The TSan shard runs these to check the event-loop ->
+ * compute-pool -> write-back handoff.
  */
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -23,10 +25,13 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "server/http_client.hh"
+#include "server/reactor.hh"
 #include "server/server.hh"
+#include "util/metrics.hh"
 
 namespace bwwall {
 namespace {
@@ -38,6 +43,126 @@ startServer(ServerConfig config)
     auto server = std::make_unique<BwwallServer>(config);
     server->start();
     return server;
+}
+
+/**
+ * Threads started while this lives get @p bytes of stack (glibc's
+ * process-wide default), so stack growth per request fails fast.
+ */
+class ScopedDefaultThreadStack
+{
+  public:
+    explicit ScopedDefaultThreadStack(std::size_t bytes)
+    {
+        ::pthread_getattr_default_np(&saved_);
+        pthread_attr_t small;
+        ::pthread_attr_init(&small);
+        ::pthread_attr_setstacksize(&small, bytes);
+        ::pthread_setattr_default_np(&small);
+        ::pthread_attr_destroy(&small);
+    }
+
+    ~ScopedDefaultThreadStack()
+    {
+        ::pthread_setattr_default_np(&saved_);
+        ::pthread_attr_destroy(&saved_);
+    }
+
+    ScopedDefaultThreadStack(const ScopedDefaultThreadStack &) = delete;
+    ScopedDefaultThreadStack &
+    operator=(const ScopedDefaultThreadStack &) = delete;
+
+  private:
+    pthread_attr_t saved_;
+};
+
+/** A blocking loopback connection to @p port. */
+int
+connectTo(std::uint16_t port)
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0)
+        return -1;
+    sockaddr_in address{};
+    address.sin_family = AF_INET;
+    address.sin_port = htons(port);
+    ::inet_pton(AF_INET, "127.0.0.1", &address.sin_addr);
+    if (::connect(fd, reinterpret_cast<sockaddr *>(&address),
+                  sizeof(address)) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+/** One POST of @p body to @p path, keep-alive, as raw bytes. */
+std::string
+postWire(const std::string &path, const std::string &body)
+{
+    return "POST " + path + " HTTP/1.1\r\nHost: t\r\n" +
+           "Content-Length: " + std::to_string(body.size()) +
+           "\r\n\r\n" + body;
+}
+
+/**
+ * Reads responses from @p fd until @p count have arrived, the peer
+ * closes, or 20 s pass; returns each response's body in order.
+ */
+std::vector<std::string>
+readBodies(int fd, std::size_t count)
+{
+    std::vector<std::string> bodies;
+    std::string buffer;
+    std::size_t at = 0;
+    char chunk[65536];
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::seconds(20);
+    while (bodies.size() < count &&
+           std::chrono::steady_clock::now() < deadline) {
+        const std::size_t head_end = buffer.find("\r\n\r\n", at);
+        if (head_end != std::string::npos) {
+            const std::string head =
+                buffer.substr(at, head_end - at);
+            const std::size_t length_at =
+                head.find("Content-Length: ");
+            const std::size_t length =
+                length_at == std::string::npos
+                    ? 0
+                    : std::stoul(head.substr(length_at + 16));
+            if (buffer.size() >= head_end + 4 + length) {
+                bodies.push_back(
+                    buffer.substr(head_end + 4, length));
+                at = head_end + 4 + length;
+                continue;
+            }
+        }
+        const ssize_t got =
+            ::recv(fd, chunk, sizeof(chunk), MSG_DONTWAIT);
+        if (got > 0)
+            buffer.append(chunk, static_cast<std::size_t>(got));
+        else if (got == 0)
+            break;
+        else
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(1));
+    }
+    return bodies;
+}
+
+/** The 200 body for POST @p path @p body over a fresh client. */
+std::string
+fetchBody(std::uint16_t port, const std::string &path,
+          const std::string &body)
+{
+    HttpClient client("127.0.0.1", port);
+    HttpClientResponse response;
+    std::string error;
+    EXPECT_TRUE(client.perform(
+        {.method = "POST", .target = path, .body = body}, &response,
+        &error))
+        << error;
+    EXPECT_EQ(response.status, 200) << response.body;
+    return response.body;
 }
 
 TEST(ReactorTest, HoldsFarMoreConnectionsThanComputeThreads)
@@ -276,6 +401,154 @@ TEST(ReactorTest, MultiShardLoadLosesNoComputeWake)
         thread.join();
     EXPECT_EQ(failures.load(), 0u);
     server->stop();
+}
+
+TEST(ReactorTest, PipelinedInlineHitsAnswerInOrderWithoutRecursion)
+{
+    // The shard answers cache hits inline and loops over pipelined
+    // follow-ups: thousands of them in one write must come back in
+    // order without growing the shard's stack per request.  A slow
+    // miss goes first, so the flood piles up in the socket while it
+    // computes and the shard then drains it in one go; on 1 MiB
+    // stacks, answering by recursion overflows the shard's stack.
+    const ScopedDefaultThreadStack small_stacks(1u << 20);
+    ServerConfig config;
+    config.threads = 2;
+    config.ioShards = 1;
+    auto server = startServer(config);
+    const std::string first = "{\"alpha\":0.5,\"total_ceas\":32}";
+    const std::string second = "{\"alpha\":0.4,\"total_ceas\":32}";
+    const std::string first_body =
+        fetchBody(server->port(), "/v1/solve", first);
+    const std::string second_body =
+        fetchBody(server->port(), "/v1/solve", second);
+    ASSERT_NE(first_body, second_body);
+    const std::uint64_t inline_before =
+        server->metrics().counter("server.inline_hits");
+
+    constexpr std::size_t kHits = 5000;
+    std::string wire = postWire(
+        "/v1/sweep", "{\"kind\":\"miss_curve\",\"estimator\":"
+                     "\"stack\",\"size_kib\":128,\"warm\":0,"
+                     "\"accesses\":60000,\"seed\":5}");
+    for (std::size_t i = 0; i < kHits; ++i)
+        wire += postWire("/v1/solve", i % 2 == 0 ? first : second);
+    const int fd = connectTo(server->port());
+    ASSERT_GE(fd, 0);
+    // Written from a second thread so the server can flush its
+    // answers while the flood is still arriving.
+    std::thread writer([&] {
+        std::size_t sent = 0;
+        while (sent < wire.size()) {
+            const ssize_t wrote =
+                ::send(fd, wire.data() + sent, wire.size() - sent,
+                       MSG_NOSIGNAL);
+            if (wrote <= 0)
+                return;
+            sent += static_cast<std::size_t>(wrote);
+        }
+    });
+    const std::vector<std::string> bodies = readBodies(fd, kHits + 1);
+    writer.join();
+    ::close(fd);
+
+    ASSERT_EQ(bodies.size(), kHits + 1);
+    for (std::size_t i = 0; i < kHits; ++i) {
+        ASSERT_EQ(bodies[i + 1],
+                  i % 2 == 0 ? first_body : second_body)
+            << "response " << i;
+    }
+    EXPECT_EQ(server->metrics().counter("server.inline_hits") -
+                  inline_before,
+              kHits);
+
+    // The shard survived and still serves.
+    EXPECT_EQ(fetchBody(server->port(), "/v1/solve", first),
+              first_body);
+    server->stop();
+}
+
+TEST(ReactorTest, PipelinedHitWaitsForTheMissAheadOfIt)
+{
+    ServerConfig config;
+    config.threads = 2;
+    config.ioShards = 1;
+    auto server = startServer(config);
+    const std::string hit = "{\"alpha\":0.5,\"total_ceas\":32}";
+    const std::string hit_body =
+        fetchBody(server->port(), "/v1/solve", hit);
+    const std::uint64_t inline_before =
+        server->metrics().counter("server.inline_hits");
+
+    // A miss goes to the compute pool; the hit behind it on the
+    // same connection must not overtake it on the shard.
+    const std::string miss =
+        "{\"kind\":\"scaling\",\"generations\":6}";
+    const int fd = connectTo(server->port());
+    ASSERT_GE(fd, 0);
+    const std::string wire =
+        postWire("/v1/sweep", miss) + postWire("/v1/solve", hit);
+    ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(wire.size()));
+    const std::vector<std::string> bodies = readBodies(fd, 2);
+    ::close(fd);
+
+    ASSERT_EQ(bodies.size(), 2u);
+    EXPECT_EQ(bodies[0], fetchBody(server->port(), "/v1/sweep", miss));
+    EXPECT_EQ(bodies[1], hit_body);
+    // The hit was still answered on the shard, once the miss
+    // finished; the sweep fetched again above is a hit too.
+    EXPECT_EQ(server->metrics().counter("server.inline_hits") -
+                  inline_before,
+              2u);
+    server->stop();
+}
+
+TEST(ReactorTest, InlineHookThatThrowsIsA500AndTheShardSurvives)
+{
+    // The hook's contract is no-throw; a violation must cost one
+    // request, not the shard thread.
+    MetricsRegistry metrics;
+    ReactorConfig config;
+    HttpReactor reactor(
+        config, &metrics,
+        [](const HttpRequest &, HttpReactor::Clock::time_point,
+           unsigned, HttpReactor::Prepared *) {
+            HttpResponse response;
+            response.body = "pool";
+            return response;
+        },
+        nullptr, nullptr, nullptr,
+        [](const HttpRequest &request, HttpReactor::Clock::time_point,
+           unsigned, HttpResponse *response,
+           std::unique_ptr<HttpReactor::Prepared> *) {
+            if (request.path == "/throw")
+                throw std::runtime_error("hook broke");
+            if (request.path != "/inline")
+                return false;
+            response->body = "inline";
+            return true;
+        });
+    reactor.start();
+    HttpClient client("127.0.0.1", reactor.port());
+    HttpClientResponse response;
+    std::string error;
+    for (const auto &[path, status, body] :
+         std::vector<std::tuple<std::string, int, std::string>>{
+             {"/inline", 200, "inline"},
+             {"/throw", 500, ""},
+             {"/other", 200, "pool"},
+             {"/inline", 200, "inline"}}) {
+        ASSERT_TRUE(client.perform({.target = path}, &response, &error))
+            << path << ": " << error;
+        EXPECT_EQ(response.status, status) << path;
+        if (!body.empty()) {
+            EXPECT_EQ(response.body, body) << path;
+        }
+    }
+    EXPECT_EQ(metrics.counter("server.connection_errors"), 1u);
+    reactor.requestStop();
+    reactor.join();
 }
 
 } // namespace

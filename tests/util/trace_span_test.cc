@@ -175,6 +175,24 @@ TEST(TraceSpanTest, SetEnabledGatesRecording)
     EXPECT_STREQ(events[0].name, "armed");
 }
 
+TEST(TraceSpanTest, RenamedSpanRecordsItsFinalName)
+{
+    TraceRecorder recorder;
+    recorder.install();
+    {
+        Span outer("first");
+        { Span inner("inner"); }
+        outer.rename("second");
+    }
+    recorder.uninstall();
+
+    const std::vector<TraceEvent> events = recorder.collect();
+    ASSERT_EQ(events.size(), 2u);
+    EXPECT_STREQ(events[0].name, "second");
+    EXPECT_EQ(events[0].depth, 0u);
+    EXPECT_STREQ(events[1].name, "inner");
+}
+
 TEST(TraceSpanTest, ScopedThreadTraceArmsOnlyThisThread)
 {
     TraceRecorder recorder;
