@@ -41,7 +41,6 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -121,7 +120,6 @@ routeModelQuery(Router &router, const HttpRequest &request)
     // cluster agree on ownership by construction.
     const std::string key =
         canonicalCacheKey(request.path, body);
-    const std::string canonical = body.dump();
     Cluster &cluster = *router.cluster;
 
     // The rendezvous walk, up nodes first: a node the health layer
@@ -148,7 +146,8 @@ routeModelQuery(Router &router, const HttpRequest &request)
     HttpClient::Request upstream;
     upstream.method = "POST";
     upstream.target = request.path;
-    upstream.body = canonical;
+    // The canonical body is the key after its "path\n" prefix.
+    upstream.body = key.substr(request.path.size() + 1);
     // The trace opt-in rides through unchanged.  The client's
     // deadline only tightens each node's budget: the client stops
     // waiting then, so neither the router nor the node should
@@ -212,11 +211,9 @@ dispatch(Router &router, const HttpRequest &request)
         return response;
     }
     if (request.path == "/metrics") {
-        std::ostringstream oss;
-        router.metrics.writeText(oss);
         HttpResponse response;
         response.contentType = "text/plain";
-        response.body = oss.str();
+        response.body = router.metrics.text();
         return response;
     }
     if (request.path == "/v1/cluster") {

@@ -260,8 +260,17 @@ done
 [ -n "$alive" ] || fail "server unresponsive after the storm"
 
 # --- metrics coherence ------------------------------------------------
-curl -s -m 10 "$base/metrics?format=json" >"$work/metrics.json" ||
-    fail "/metrics unreachable after the storm"
+# The fault plan is still armed, so an injected accept, read, or
+# write fault can drop one scrape: retry it like the liveness check.
+scraped=""
+for _ in $(seq 1 20); do
+    if [ "$(curl -s -m 10 -o "$work/metrics.json" -w '%{http_code}' \
+        "$base/metrics?format=json")" = 200 ]; then
+        scraped=yes
+        break
+    fi
+done
+[ -n "$scraped" ] || fail "/metrics unreachable after the storm"
 metrics_value() {
     python3 - "$1" "$2" <<'EOF'
 import json, sys

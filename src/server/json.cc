@@ -3,10 +3,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <iomanip>
 #include <sstream>
 
 #include "util/logging.hh"
+#include "util/number_text.hh"
 
 namespace bwwall {
 
@@ -333,7 +333,7 @@ dumpTo(const JsonValue &value, std::string *out)
         *out += value.asBool() ? "true" : "false";
         break;
       case JsonValue::Kind::Number:
-        *out += jsonNumberText(value.asNumber());
+        appendDoubleText(*out, value.asNumber(), "null");
         break;
       case JsonValue::Kind::String:
         *out += '"';
@@ -490,21 +490,8 @@ JsonValue::parse(const std::string &text, JsonValue *out,
 std::string
 jsonNumberText(double value)
 {
-    // Integer-valued doubles inside the exactly representable range
-    // print as integers; everything else round-trips through
-    // precision 17.  Fixed formatting keeps responses byte-stable.
-    if (std::isfinite(value) && value == std::floor(value) &&
-        std::fabs(value) < 9.007199254740992e15) {
-        char buffer[32];
-        std::snprintf(buffer, sizeof(buffer), "%.0f", value);
-        return buffer;
-    }
-    std::ostringstream oss;
-    oss << std::setprecision(17) << value;
-    const std::string text = oss.str();
-    if (text.find("inf") != std::string::npos ||
-        text.find("nan") != std::string::npos)
-        return "null";
+    std::string text;
+    appendDoubleText(text, value, "null");
     return text;
 }
 

@@ -99,7 +99,11 @@ class JsonValue
     std::map<std::string, JsonValue> object_;
 };
 
-/** Canonical number formatting shared with dump() (and tests). */
+/**
+ * A number as dump() writes it: appendDoubleText()
+ * (util/number_text.hh), with null for an infinity or a NaN, which
+ * JSON cannot spell.
+ */
 std::string jsonNumberText(double value);
 
 /** Escapes a string for inclusion in a JSON string literal. */

@@ -209,6 +209,11 @@ ResultCache::getOrCompute(const std::string &key,
     Shard &shard = shardFor(key);
     std::shared_ptr<Flight> flight;
     bool owner = false;
+    // The expired entry this caller revalidates, if any, and the
+    // end of its stale window: what it serves if the revalidation
+    // fails in time.
+    std::shared_ptr<const CachedResponse> stale_entry;
+    Clock::time_point stale_until{};
     {
         std::unique_lock<std::mutex> lock(shard.mutex);
         const auto it = shard.entries.find(key);
@@ -234,6 +239,8 @@ ResultCache::getOrCompute(const std::string &key,
             } else {
                 // This caller becomes the revalidating flight; the
                 // stale entry stays behind for concurrent callers.
+                stale_entry = it->second.response;
+                stale_until = it->second.expiry + stale_;
                 if (metrics_ != nullptr)
                     metrics_->addCounter("cache.revalidations");
             }
@@ -297,6 +304,17 @@ ResultCache::getOrCompute(const std::string &key,
                            static_cast<double>(entryCount()));
     }
 
+    if (error != nullptr && stale_entry != nullptr &&
+        Clock::now() < stale_until) {
+        // A failed revalidation degrades freshness, not
+        // availability: the stale entry answers, and stays cached
+        // for the next attempt.
+        if (metrics_ != nullptr) {
+            metrics_->addCounter("cache.revalidation_failures");
+            metrics_->addCounter("cache.stale_served");
+        }
+        return {std::move(stale_entry), true, false, true};
+    }
     if (error)
         std::rethrow_exception(error);
     return {std::move(response), false, false};

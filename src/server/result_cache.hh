@@ -110,7 +110,10 @@ class ResultCache
      * an identical request is already computing, blocks until that
      * flight finishes and shares its result (exactly one compute()
      * runs per key at a time).  Exceptions from compute() propagate
-     * to the computing caller and every waiter; nothing is cached.
+     * to the computing caller and every waiter, and nothing is
+     * cached — except that a failed revalidation of an entry still
+     * inside its stale window serves that entry (stale = true,
+     * counted in cache.revalidation_failures) and keeps it.
      */
     Outcome getOrCompute(const std::string &key,
                          const Compute &compute);

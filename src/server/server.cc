@@ -1,8 +1,6 @@
 #include "server/server.hh"
 
 #include <algorithm>
-#include <optional>
-#include <sstream>
 
 #include "server/json.hh"
 #include "server/model_service.hh"
@@ -52,13 +50,6 @@ resolveIoShards(unsigned requested)
 struct BwwallServer::ModelQuery final : HttpReactor::Prepared
 {
     AdmitDecision decision = AdmitDecision::Admit;
-
-    /**
-     * Set once the answer is known without the cache: a shed, a bad
-     * body, or a hit found after the deadline passed.
-     */
-    std::optional<HttpResponse> answer;
-
     JsonValue body;
     std::string key;
 
@@ -296,21 +287,22 @@ BwwallServer::handleCluster() const
 HttpResponse
 BwwallServer::handleMetrics(const HttpRequest &request) const
 {
-    std::ostringstream oss;
     HttpResponse response;
     if (request.query.find("format=json") != std::string::npos) {
-        metrics_.writeJson(oss);
+        response.body = metrics_.jsonText();
     } else {
-        metrics_.writeText(oss);
+        response.body = metrics_.text();
         response.contentType = "text/plain";
     }
-    response.body = oss.str();
     return response;
 }
 
-void
+bool
 BwwallServer::prepareModelQuery(const HttpRequest &request,
-                                unsigned inflight, ModelQuery *query)
+                                unsigned inflight,
+                                Clock::time_point received,
+                                ModelQuery *query,
+                                HttpResponse *answer)
 {
     query->decision = overload_->admit(request.path, inflight);
     if (query->decision == AdmitDecision::Shed) {
@@ -320,8 +312,8 @@ BwwallServer::prepareModelQuery(const HttpRequest &request,
              "shed by overload control; retry later"});
         shed.headers["Retry-After"] =
             std::to_string(overload_->retryAfterSeconds());
-        query->answer = std::move(shed);
-        return;
+        *answer = std::move(shed);
+        return true;
     }
 
     std::string parse_error;
@@ -334,16 +326,16 @@ BwwallServer::prepareModelQuery(const HttpRequest &request,
                                   &query->body, &parse_error);
     }
     if (!parsed) {
-        query->answer = httpErrorResponseFor(
+        *answer = httpErrorResponseFor(
             {ErrorCategory::InvalidInput,
              "malformed JSON body: " + parse_error});
-        return;
+        return true;
     }
     if (!query->body.isObject()) {
-        query->answer = httpErrorResponseFor(
+        *answer = httpErrorResponseFor(
             {ErrorCategory::InvalidInput,
              "request body must be a JSON object"});
-        return;
+        return true;
     }
 
     if (query->decision == AdmitDecision::AdmitDegraded &&
@@ -367,6 +359,26 @@ BwwallServer::prepareModelQuery(const HttpRequest &request,
         request.headers.count(kPeerFillHeaderLower) != 0;
     if (query->peerFill)
         metrics_.addCounter("cluster.peer_fill.received");
+
+    // Only a fresh hit for an undegraded admit is answered here; a
+    // stale entry, a miss, and a degraded sweep go to the pool.
+    if (query->decision != AdmitDecision::Admit)
+        return false;
+    std::shared_ptr<const CachedResponse> hit;
+    {
+        Span cache_span("server.cache");
+        hit = cache_->getFresh(query->key);
+    }
+    if (hit == nullptr)
+        return false;
+    traceInstant("server.cache_hit");
+    if (query->pastDeadline(received)) {
+        *answer = deadlineExceeded();
+    } else {
+        metrics_.addCounter("server.inline_hits");
+        *answer = cachedResponse(*hit, *query, false, false);
+    }
+    return true;
 }
 
 bool
@@ -375,35 +387,46 @@ BwwallServer::answerInline(
     unsigned inflight, HttpResponse *response,
     std::unique_ptr<HttpReactor::Prepared> *prepared)
 {
+    bool observed = false;
     const Route *route = findRoute(request.path);
-    if (route == nullptr ||
-        route->handler != RouteHandler::ModelQuery ||
-        !routeAllowsMethod(*route, request.method))
-        return false;
-    auto query = std::make_unique<ModelQuery>();
-    prepareModelQuery(request, inflight, query.get());
-    if (!query->answer &&
-        query->decision == AdmitDecision::Admit) {
-        std::shared_ptr<const CachedResponse> hit;
-        {
-            Span cache_span("server.cache");
-            hit = cache_->getFresh(query->key);
-        }
-        if (hit != nullptr) {
-            traceInstant("server.cache_hit");
-            if (query->pastDeadline(received)) {
-                query->answer = deadlineExceeded();
-            } else {
-                metrics_.addCounter("server.inline_hits");
-                *response = cachedResponse(*hit, *query, false, false);
-                recordRequest(request, route, received, *response,
-                              true);
-                return true;
+    if (route == nullptr) {
+        *response = httpErrorResponse(
+            404, "unknown path '" + request.path + "'");
+    } else if (!routeAllowsMethod(*route, request.method)) {
+        *response = httpErrorResponse(405, route->methodHint);
+    } else {
+        switch (route->handler) {
+          case RouteHandler::Health:
+            // A HEAD answer carries the status and no body.
+            if (request.method != "HEAD")
+                response->body = "{\"status\":\"ok\"}\n";
+            break;
+          case RouteHandler::Metrics:
+            *response = handleMetrics(request);
+            break;
+          case RouteHandler::Cluster:
+            *response = handleCluster();
+            break;
+          case RouteHandler::ModelQuery: {
+            auto query = std::make_unique<ModelQuery>();
+            if (!prepareModelQuery(request, inflight, received,
+                                   query.get(), response)) {
+                *prepared = std::move(query);
+                return false;
             }
+            // Sheds are not observed: only served requests feed
+            // the latency window and the breakers.
+            observed = query->decision != AdmitDecision::Shed;
+            break;
+          }
+          case RouteHandler::Trace:
+          case RouteHandler::IngestCreate:
+          case RouteHandler::IngestSession:
+            return false; // the compute pool's work
         }
     }
-    *prepared = std::move(query);
-    return false;
+    recordRequest(request, route, received, *response, observed);
+    return true;
 }
 
 HttpResponse
@@ -441,8 +464,6 @@ BwwallServer::handleModelQuery(const HttpRequest &request,
                                Clock::time_point received,
                                ModelQuery &query)
 {
-    if (query.answer)
-        return std::move(*query.answer);
     try {
         // Cluster mode (docs/CLUSTER.md): on a local miss for a
         // key another node owns, ask the owner once before
@@ -485,7 +506,9 @@ BwwallServer::handleModelQuery(const HttpRequest &request,
                                 : -1.0;
                         if (cluster->fillFromPeer(
                                 cluster->owner(query.key),
-                                request.path, query.body.dump(),
+                                request.path,
+                                query.key.substr(request.path.size() +
+                                                 1),
                                 remaining, &filled)) {
                             peer_filled = true;
                             CachedResponse cached;
@@ -601,49 +624,31 @@ BwwallServer::dispatch(const HttpRequest &request,
                        Clock::time_point received,
                        unsigned inflight, ModelQuery *prepared)
 {
+    // answerInline() answered every request whose route is unknown,
+    // whose method is wrong, or whose answer needs no compute.
+    const Route &route = *findRoute(request.path);
     HttpResponse response;
     bool observed = false;
-    const Route *route = findRoute(request.path);
-    if (route == nullptr) {
-        response = httpErrorResponse(
-            404, "unknown path '" + request.path + "'");
-    } else if (!routeAllowsMethod(*route, request.method)) {
-        response = httpErrorResponse(405, route->methodHint);
-    } else {
-        switch (route->handler) {
-          case RouteHandler::Health: {
-            JsonValue payload = JsonValue::makeObject();
-            payload.set("status", JsonValue("ok"));
-            response.body = payload.dump();
-            response.body += '\n';
-            break;
-          }
-          case RouteHandler::Metrics:
-            response = handleMetrics(request);
-            break;
-          case RouteHandler::Trace:
-            response = handleTrace();
-            break;
-          case RouteHandler::Cluster:
-            response = handleCluster();
-            break;
-          case RouteHandler::ModelQuery:
-            // answerInline() prepared it on the io shard.
-            response = handleModelQuery(request, received, *prepared);
-            // Sheds are not observed: only served requests feed
-            // the latency window and the breakers.
-            observed = prepared->decision != AdmitDecision::Shed;
-            break;
-          case RouteHandler::IngestCreate:
-            response = handleIngestCreate(request);
-            break;
-          case RouteHandler::IngestSession:
-            response =
-                handleIngestSession(request, *route, inflight);
-            break;
-        }
+    switch (route.handler) {
+      case RouteHandler::Trace:
+        response = handleTrace();
+        break;
+      case RouteHandler::ModelQuery:
+        response = handleModelQuery(request, received, *prepared);
+        observed = true;
+        break;
+      case RouteHandler::IngestCreate:
+        response = handleIngestCreate(request);
+        break;
+      case RouteHandler::IngestSession:
+        response = handleIngestSession(request, route, inflight);
+        break;
+      case RouteHandler::Health:
+      case RouteHandler::Metrics:
+      case RouteHandler::Cluster:
+        panic("route ", route.path, " reached the compute pool");
     }
-    recordRequest(request, route, received, response, observed);
+    recordRequest(request, &route, received, response, observed);
     return response;
 }
 

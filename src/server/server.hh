@@ -4,13 +4,16 @@
  *
  * Architecture: an HttpReactor (server/reactor.hh) owns all I/O —
  * an accept thread deals non-blocking keep-alive sockets to a small
- * pool of epoll event-loop shards, fresh cache hits are answered on
- * the shard that parsed them, every other request crosses a
- * lock-free queue to a compute pool, and its response comes back
- * through a per-shard completion queue — so one daemon holds tens of
- * thousands of concurrent connections instead of one per worker
- * thread, and a hit never leaves its shard.  This layer owns the
- * policy on top: the route table
+ * pool of epoll event-loop shards, and the shard that parsed a
+ * request answers it whenever the answer needs no compute and no
+ * I/O: /healthz, /metrics, /v1/cluster, 404s and 405s, sheds,
+ * malformed bodies, and fresh cache hits.  Only cache misses, stale
+ * entries, degraded sweeps, ingest calls, and /v1/trace exports
+ * cross a lock-free queue to a compute pool, whose responses come
+ * back through a per-shard completion queue — so one daemon holds
+ * tens of thousands of concurrent connections instead of one per
+ * worker thread, and cheap traffic never leaves its shard.  This
+ * layer owns the policy on top: the route table
  * (server/routes.hh) mapping method + path to a handler and a cost
  * class, the model-service handlers, the result cache, and the
  * overload controller.
@@ -260,19 +263,23 @@ class BwwallServer
     struct ModelQuery;
 
     /**
-     * Routes one request via the route table; never throws.
+     * Serves one request the io shard handed over (a model query
+     * that needs the cache's compute path, a trace export, or an
+     * ingest call) on the compute pool; never throws.
      * @param prepared What answerInline() worked out for a model
-     *                 query it did not answer (null otherwise).
+     *                 query (null for the other routes).
      */
     HttpResponse dispatch(const HttpRequest &request,
                           Clock::time_point received,
                           unsigned inflight, ModelQuery *prepared);
 
     /**
-     * The io shard's hook (HttpReactor::InlineFn): prepares every
-     * model query and answers a fresh, admitted, in-deadline cache
-     * hit right there; everything else goes to dispatch() on the
-     * compute pool, with the prepared query attached.
+     * The io shard's hook (HttpReactor::InlineFn): answers every
+     * request whose answer needs no compute and no I/O right there
+     * (/healthz, /metrics, /v1/cluster, 404, 405, and any model
+     * query prepareModelQuery() answers); everything else goes to
+     * dispatch() on the compute pool, a model query with its
+     * prepared state attached.
      */
     bool answerInline(const HttpRequest &request,
                       Clock::time_point received, unsigned inflight,
@@ -280,12 +287,17 @@ class BwwallServer
                       std::unique_ptr<HttpReactor::Prepared> *prepared);
 
     /**
-     * Admits, parses, and keys one model query: the single
+     * Admits, parses, keys, and probes one model query: the single
      * admit() call (a second could spend a breaker's half-open
      * probe), the single parse, and the single cache-key build.
+     * Returns true with *answer set when no compute is needed: a
+     * shed, a malformed or non-object body, or a fresh admitted hit
+     * (a 504 once past the deadline).
      */
-    void prepareModelQuery(const HttpRequest &request,
-                           unsigned inflight, ModelQuery *query);
+    bool prepareModelQuery(const HttpRequest &request,
+                           unsigned inflight,
+                           Clock::time_point received,
+                           ModelQuery *query, HttpResponse *answer);
 
     /** Serves a prepared model query through the cache. */
     HttpResponse handleModelQuery(const HttpRequest &request,

@@ -6,8 +6,10 @@
 #include <iomanip>
 #include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "util/logging.hh"
+#include "util/number_text.hh"
 
 namespace bwwall {
 
@@ -50,21 +52,31 @@ jsonEscape(const std::string &text)
     return out;
 }
 
-/**
- * Formats a double with enough digits to round-trip, using a fixed
- * style so serialization is deterministic.
- */
-std::string
-jsonNumber(double value)
+/** Appends the pieces of one metric line: text, counts, values. */
+void
+appendPiece(std::string &out, std::string_view text)
 {
-    std::ostringstream oss;
-    oss << std::setprecision(17) << value;
-    const std::string text = oss.str();
-    // JSON has no inf/nan literals; report them as null.
-    if (text.find("inf") != std::string::npos ||
-        text.find("nan") != std::string::npos)
-        return "null";
-    return text;
+    out += text;
+}
+
+void
+appendPiece(std::string &out, std::uint64_t count)
+{
+    out += std::to_string(count);
+}
+
+/** JSON has no infinity or NaN, so those values print as null. */
+void
+appendPiece(std::string &out, double value)
+{
+    appendDoubleText(out, value, "null");
+}
+
+template <typename... Pieces>
+void
+appendAll(std::string &out, const Pieces &...pieces)
+{
+    (appendPiece(out, pieces), ...);
 }
 
 } // namespace
@@ -229,78 +241,91 @@ MetricsRegistry::clear()
     histograms_.clear();
 }
 
-void
-MetricsRegistry::writeJson(std::ostream &os) const
+std::string
+MetricsRegistry::jsonText() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    os << "{\n  \"counters\": {";
-    bool first = true;
-    for (const auto &[name, value] : counters_) {
-        os << (first ? "" : ",") << "\n    \"" << jsonEscape(name)
-           << "\": " << value;
-        first = false;
-    }
-    os << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
-    first = true;
-    for (const auto &[name, value] : gauges_) {
-        os << (first ? "" : ",") << "\n    \"" << jsonEscape(name)
-           << "\": " << jsonNumber(value);
-        first = false;
-    }
-    os << (first ? "" : "\n  ") << "},\n  \"timers\": {";
-    first = true;
-    for (const auto &[name, cell] : timers_) {
-        os << (first ? "" : ",") << "\n    \"" << jsonEscape(name)
-           << "\": {\"count\": " << cell.count
-           << ", \"seconds\": " << jsonNumber(cell.seconds) << "}";
-        first = false;
-    }
-    os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
-    first = true;
-    const std::vector<double> &bounds = histogramBucketBounds();
-    for (const auto &[name, cell] : histograms_) {
-        os << (first ? "" : ",") << "\n    \"" << jsonEscape(name)
-           << "\": {\"count\": " << cell.count << ", \"sum\": "
-           << jsonNumber(cell.sum)
-           << ", \"p50\": " << jsonNumber(quantileOf(cell, 0.50))
-           << ", \"p99\": " << jsonNumber(quantileOf(cell, 0.99))
-           << ", \"buckets\": [";
-        bool first_bucket = true;
-        for (std::size_t slot = 0; slot < cell.buckets.size();
-             ++slot) {
-            if (cell.buckets[slot] == 0)
-                continue;
-            const double le = slot < bounds.size()
-                                  ? bounds[slot]
-                                  : std::numeric_limits<
-                                        double>::infinity();
-            os << (first_bucket ? "" : ", ") << "["
-               << jsonNumber(le) << ", " << cell.buckets[slot]
-               << "]";
-            first_bucket = false;
+    std::string out = "{\n  \"counters\": {";
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        bool first = true;
+        const auto member = [&](const std::string &name) {
+            appendAll(out, first ? "\n    \"" : ",\n    \"",
+                      jsonEscape(name), "\": ");
+            first = false;
+        };
+        // Closes the current section and opens @p next.
+        const auto section = [&](const char *next) {
+            appendAll(out, first ? "}" : "\n  }", next);
+            first = true;
+        };
+        for (const auto &[name, value] : counters_) {
+            member(name);
+            appendAll(out, value);
         }
-        os << "]}";
-        first = false;
+        section(",\n  \"gauges\": {");
+        for (const auto &[name, value] : gauges_) {
+            member(name);
+            appendAll(out, value);
+        }
+        section(",\n  \"timers\": {");
+        for (const auto &[name, cell] : timers_) {
+            member(name);
+            appendAll(out, "{\"count\": ", cell.count,
+                      ", \"seconds\": ", cell.seconds, "}");
+        }
+        section(",\n  \"histograms\": {");
+        const std::vector<double> &bounds = histogramBucketBounds();
+        for (const auto &[name, cell] : histograms_) {
+            member(name);
+            appendAll(out, "{\"count\": ", cell.count, ", \"sum\": ",
+                      cell.sum, ", \"p50\": ", quantileOf(cell, 0.50),
+                      ", \"p99\": ", quantileOf(cell, 0.99),
+                      ", \"buckets\": [");
+            const char *separator = "[";
+            for (std::size_t slot = 0; slot < cell.buckets.size();
+                 ++slot) {
+                if (cell.buckets[slot] == 0)
+                    continue;
+                const double le = slot < bounds.size()
+                                      ? bounds[slot]
+                                      : std::numeric_limits<
+                                            double>::infinity();
+                appendAll(out, separator, le, ", ",
+                          cell.buckets[slot], "]");
+                separator = ", [";
+            }
+            out += "]}";
+        }
+        section("\n}\n");
     }
-    os << (first ? "" : "\n  ") << "}\n}\n";
+    return out;
 }
 
 void
-MetricsRegistry::writeText(std::ostream &os) const
+MetricsRegistry::writeJson(std::ostream &os) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto &[name, value] : counters_)
-        os << "counter " << name << ' ' << value << '\n';
-    for (const auto &[name, value] : gauges_)
-        os << "gauge " << name << ' ' << jsonNumber(value) << '\n';
-    for (const auto &[name, cell] : timers_)
-        os << "timer " << name << ' ' << cell.count << ' '
-           << jsonNumber(cell.seconds) << '\n';
-    for (const auto &[name, cell] : histograms_)
-        os << "histogram " << name << ' ' << cell.count << ' '
-           << jsonNumber(cell.sum) << ' '
-           << jsonNumber(quantileOf(cell, 0.50)) << ' '
-           << jsonNumber(quantileOf(cell, 0.99)) << '\n';
+    os << jsonText();
+}
+
+std::string
+MetricsRegistry::text() const
+{
+    std::string out;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (const auto &[name, value] : counters_)
+            appendAll(out, "counter ", name, " ", value, "\n");
+        for (const auto &[name, value] : gauges_)
+            appendAll(out, "gauge ", name, " ", value, "\n");
+        for (const auto &[name, cell] : timers_)
+            appendAll(out, "timer ", name, " ", cell.count, " ",
+                      cell.seconds, "\n");
+        for (const auto &[name, cell] : histograms_)
+            appendAll(out, "histogram ", name, " ", cell.count, " ",
+                      cell.sum, " ", quantileOf(cell, 0.50), " ",
+                      quantileOf(cell, 0.99), "\n");
+    }
+    return out;
 }
 
 void

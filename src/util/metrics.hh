@@ -93,25 +93,30 @@ class MetricsRegistry
     void clear();
 
     /**
-     * Writes the registry as a JSON object:
+     * The registry as a JSON object:
      * {"counters": {...}, "gauges": {...}, "timers":
      * {"name": {"count": N, "seconds": S}, ...}, "histograms":
      * {"name": {"count": N, "sum": S, "p50": ..., "p99": ...,
      * "buckets": [[le, count], ...]}, ...}} (non-empty buckets
-     * only).
+     * only).  Formatted under the registry lock, which is held for
+     * formatting only: bwwalld renders scrapes on an io shard while
+     * compute threads record.
      */
+    std::string jsonText() const;
+
+    /** Writes jsonText() to @p os. */
     void writeJson(std::ostream &os) const;
 
     /** writeJson into a file; fatal when the file cannot be written. */
     void writeJsonFile(const std::string &path) const;
 
     /**
-     * Writes the registry as plain text, one metric per line
+     * The registry as plain text, one metric per line
      * (`counter NAME VALUE`, `gauge NAME VALUE`, `timer NAME COUNT
      * SECONDS`, `histogram NAME COUNT SUM P50 P99`), sorted by name
      * within each kind — the server's /metrics text format.
      */
-    void writeText(std::ostream &os) const;
+    std::string text() const;
 
   private:
     struct TimerCell

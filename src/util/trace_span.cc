@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -11,6 +10,7 @@
 #include <sstream>
 
 #include "util/logging.hh"
+#include "util/number_text.hh"
 
 namespace bwwall {
 
@@ -251,21 +251,6 @@ microsText(std::uint64_t ns)
     return buffer;
 }
 
-/** Doubles as strict-JSON number text (counters only). */
-std::string
-jsonDoubleText(double value)
-{
-    if (!std::isfinite(value))
-        return "0";
-    char buffer[40];
-    if (value == std::floor(value) && std::fabs(value) < 1e15) {
-        std::snprintf(buffer, sizeof(buffer), "%.0f", value);
-        return buffer;
-    }
-    std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-    return buffer;
-}
-
 /** Span names are literals, but escape defensively anyway. */
 std::string
 jsonStringText(const std::string &text)
@@ -491,7 +476,7 @@ TraceRecorder::chromeTraceJson() const
             break;
           case TraceEvent::Kind::Counter:
             out += "\"args\":{\"value\":";
-            out += jsonDoubleText(event.value);
+            appendDoubleText(out, event.value, "0");
             out += "},\"cat\":\"bwwall\",\"name\":";
             out += jsonStringText(event.name);
             out += ",\"ph\":\"C\",\"pid\":1,\"tid\":";

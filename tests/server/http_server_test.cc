@@ -5,8 +5,9 @@
  * byte-identity guarantee (server responses == direct library
  * calls), protocol errors, caching and single-flight behaviour over
  * the wire, /metrics, graceful shutdown, and which requests the io
- * shard answers itself (fresh, admitted cache hits) versus hands to
- * the compute pool (stale entries, degraded sweeps).
+ * shard answers itself (every request that needs no compute: fresh
+ * admitted hits, control routes, errors, sheds) versus hands to the
+ * compute pool (misses, stale entries, degraded sweeps).
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -221,9 +223,7 @@ TEST_F(HttpServerTest, BadRequestsAndUnknownPathsMapToStatuses)
 TEST_F(HttpServerTest, UnknownPathsShareOneMetricKey)
 {
     const auto registry_lines = [&] {
-        std::ostringstream text;
-        server_->metrics().writeText(text);
-        const std::string dump = text.str();
+        const std::string dump = server_->metrics().text();
         return std::count(dump.begin(), dump.end(), '\n');
     };
     // One 404 first, so its shared keys (server.endpoint.unknown.*,
@@ -1106,6 +1106,145 @@ TEST_F(InlineHitTest, PressedSweepIsDegradedNeverAFullResolutionHit)
     }
     EXPECT_EQ(counter("server.inline_hits"), 0u);
     EXPECT_EQ(counter("server.degraded"), 2u);
+}
+
+TEST_F(InlineHitTest, NoComputeRequestsAnswerWhileEveryComputeThreadIsBlocked)
+{
+    ServerConfig config;
+    config.trace = true;                  // standby: opt-in only
+    config.breakerCooldownSeconds = 60.0; // an open breaker stays open
+    start(config);
+
+    // Hold the compute of kSolve's key open, then park both compute
+    // threads on it: each joins the single flight and waits.
+    JsonValue body;
+    ASSERT_TRUE(JsonValue::parse(kSolve, &body));
+    const std::string key = canonicalCacheKey("/v1/solve", body);
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool release = false;
+    std::thread owner([&] {
+        server_->cache().getOrCompute(key, [&] {
+            std::unique_lock<std::mutex> lock(mutex);
+            cv.wait(lock, [&] { return release; });
+            return executeModelQuery("/v1/solve", body);
+        });
+    });
+    while (counter("cache.misses") == 0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const auto blocked = [&] {
+        return std::async(std::launch::async, [&] {
+            HttpClient client("127.0.0.1", server_->port());
+            HttpClientResponse response;
+            client.perform({.method = "POST",
+                            .target = "/v1/solve",
+                            .headers = {{"X-BWWall-Trace", "1"}},
+                            .body = kSolve},
+                           &response);
+            return response.status;
+        });
+    };
+    std::future<int> first = blocked();
+    std::future<int> second = blocked();
+    // Probes in a lambda, so that a failed assertion still releases
+    // the held compute below and joins before the futures wait.
+    const auto probe_while_blocked = [&] {
+        // The shard records "server.prepare" for each just before it
+        // queues it; the queue is FIFO, so both compute threads take
+        // these two before anything queued later.
+        const auto prepared = [&] {
+            std::size_t spans = 0;
+            for (const TraceEvent &event :
+                 server_->traceRecorder()->collect())
+                spans += std::strcmp(event.name, "server.prepare") == 0;
+            return spans;
+        };
+        const auto give_up = std::chrono::steady_clock::now() +
+                             std::chrono::seconds(10);
+        while (prepared() < 2 && std::chrono::steady_clock::now() < give_up)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        ASSERT_EQ(prepared(), 2u);
+
+        // Open the sweep breaker so the next sweep sheds.
+        for (unsigned i = 0; i < config.breakerThreshold; ++i)
+            server_->overload().observe("/v1/sweep", 0.0, true);
+
+        struct Probe
+        {
+            std::string method;
+            std::string target;
+            std::string body;
+            int status;
+            const char *endpoint;
+        };
+        const Probe probes[] = {
+            {"GET", "/healthz", "", 200, "/healthz"},
+            {"HEAD", "/healthz", "", 200, "/healthz"},
+            {"GET", "/metrics", "", 200, "/metrics"},
+            {"GET", "/metrics?format=json", "", 200, "/metrics"},
+            {"GET", "/v1/cluster", "", 200, "/v1/cluster"},
+            {"GET", "/no/such/path", "", 404, "unknown"},
+            {"GET", "/v1/solve", "", 405, "/v1/solve"},
+            {"POST", "/v1/solve", "{\"alpha\":", 400, "/v1/solve"},
+            {"POST", "/v1/solve", "[1,2]", 400, "/v1/solve"},
+            {"POST", "/v1/sweep", "{\"kind\":\"scaling\"}", 503,
+             "/v1/sweep"},
+        };
+        client_->setReadTimeoutMs(5000);
+        for (const Probe &probe : probes) {
+            const std::string endpoint =
+                std::string("server.endpoint.") + probe.endpoint +
+                ".requests";
+            const std::uint64_t requests = counter("server.requests");
+            const std::uint64_t endpoint_requests = counter(endpoint);
+            const auto sent = std::chrono::steady_clock::now();
+            HttpClientResponse response;
+            std::string error;
+            ASSERT_TRUE(client_->perform({.method = probe.method,
+                                          .target = probe.target,
+                                          .body = probe.body},
+                                         &response, &error))
+                << probe.method << ' ' << probe.target << ": " << error;
+            const double seconds =
+                std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - sent)
+                    .count();
+            EXPECT_LT(seconds, 1.0) << probe.method << ' ' << probe.target;
+            EXPECT_EQ(response.status, probe.status)
+                << probe.method << ' ' << probe.target;
+            EXPECT_EQ(counter("server.requests") - requests, 1u)
+                << probe.method << ' ' << probe.target;
+            EXPECT_EQ(counter(endpoint) - endpoint_requests, 1u)
+                << probe.method << ' ' << probe.target;
+            if (probe.method == "HEAD") {
+                EXPECT_TRUE(response.body.empty());
+            } else if (probe.target == "/healthz") {
+                EXPECT_EQ(response.body, "{\"status\":\"ok\"}\n");
+            } else if (probe.target == "/metrics?format=json") {
+                JsonValue scrape;
+                EXPECT_TRUE(JsonValue::parse(response.body, &scrape));
+            } else if (probe.status == 503) {
+                EXPECT_EQ(response.headers.count("retry-after"), 1u);
+            }
+        }
+        EXPECT_EQ(counter("server.shed"), 1u);
+        EXPECT_EQ(counter("server.inline_hits"), 0u);
+
+        // Every answer came while both compute threads were still held.
+        EXPECT_EQ(first.wait_for(std::chrono::seconds(0)),
+                  std::future_status::timeout);
+        EXPECT_EQ(second.wait_for(std::chrono::seconds(0)),
+                  std::future_status::timeout);
+    };
+    probe_while_blocked();
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        release = true;
+    }
+    cv.notify_all();
+    owner.join();
+    EXPECT_EQ(first.get(), 200);
+    EXPECT_EQ(second.get(), 200);
 }
 
 } // namespace

@@ -8,9 +8,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <iomanip>
+#include <limits>
+#include <random>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "server/json.hh"
+#include "util/number_text.hh"
 
 namespace bwwall {
 namespace {
@@ -133,6 +143,127 @@ TEST(JsonTest, NumberTextFormatsIntegersAndDoubles)
     EXPECT_EQ(jsonNumberText(-3.0), "-3");
     EXPECT_EQ(jsonNumberText(0.5), "0.5");
     EXPECT_EQ(jsonNumberText(1.0 / 0.0), "null");
+}
+
+/**
+ * The number formatter dump() used before std::to_chars: %.0f for
+ * integers below 2^53, a precision-17 stream for everything else.
+ * Cache keys and snapshot files hold its bytes, so the new one must
+ * match it exactly.
+ */
+std::string
+streamNumberText(double value)
+{
+    if (std::isfinite(value) && value == std::floor(value) &&
+        std::fabs(value) < 9.007199254740992e15) {
+        char buffer[32];
+        std::snprintf(buffer, sizeof(buffer), "%.0f", value);
+        return buffer;
+    }
+    std::ostringstream oss;
+    oss << std::setprecision(17) << value;
+    const std::string text = oss.str();
+    if (text.find("inf") != std::string::npos ||
+        text.find("nan") != std::string::npos)
+        return "null";
+    return text;
+}
+
+/** The trace exporter's old counter formatter (0 for non-finite). */
+std::string
+traceNumberText(double value)
+{
+    if (!std::isfinite(value))
+        return "0";
+    char buffer[40];
+    if (value == std::floor(value) && std::fabs(value) < 1e15)
+        std::snprintf(buffer, sizeof(buffer), "%.0f", value);
+    else
+        std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+    return buffer;
+}
+
+TEST(JsonTest, NumberTextMatchesTheStreamFormatterOnRandomDoubles)
+{
+    std::mt19937_64 rng(20090620);
+    std::uniform_int_distribution<int> exponent(-300, 300);
+    std::uniform_real_distribution<double> mantissa(1.0, 10.0);
+    std::uniform_int_distribution<std::int64_t> integer(
+        -(std::int64_t{1} << 53), std::int64_t{1} << 53);
+    std::uniform_int_distribution<std::uint64_t> subnormal(
+        1, (std::uint64_t{1} << 52) - 1);
+    std::uniform_int_distribution<int> alpha(1, 20000);
+
+    std::vector<double> values = {
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        9007199254740992.0,  // 2^53
+        -9007199254740992.0,
+        9007199254740991.0,
+        1e15,
+        1e17,
+        1e300,
+        -1e300,
+        1e-300,
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::lowest(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+    };
+    for (int i = 0; i < 50000; ++i) {
+        // Raw bit patterns: every exponent, sign, and NaN payload.
+        const std::uint64_t bits = rng();
+        double raw = 0.0;
+        std::memcpy(&raw, &bits, sizeof(raw));
+        values.push_back(raw);
+        // Decimal magnitudes from 1e-300 to 1e300, both signs.
+        const double scaled =
+            mantissa(rng) * std::pow(10.0, exponent(rng));
+        values.push_back((i & 1) != 0 ? -scaled : scaled);
+        // Integers up to 2^53, where the old code used %.0f.
+        values.push_back(static_cast<double>(integer(rng)));
+        // Subnormals.
+        const std::uint64_t sub_bits =
+            subnormal(rng) | (static_cast<std::uint64_t>(i & 1) << 63);
+        double sub = 0.0;
+        std::memcpy(&sub, &sub_bits, sizeof(sub));
+        values.push_back(sub);
+        // The alpha grid model queries use (1e-4 steps).
+        values.push_back(alpha(rng) * 1e-4);
+    }
+    ASSERT_GE(values.size(), 200000u);
+
+    std::size_t mismatches = 0;
+    for (const double value : values) {
+        const std::string expected = streamNumberText(value);
+        const std::string json = jsonNumberText(value);
+        std::string trace;
+        appendDoubleText(trace, value, "0");
+        if (json != expected || trace != traceNumberText(value)) {
+            if (++mismatches <= 5)
+                ADD_FAILURE() << std::hexfloat << value << ": json "
+                              << json << " vs " << expected
+                              << ", trace " << trace << " vs "
+                              << traceNumberText(value);
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(JsonTest, DumpAppendsNumbersWithTheSharedFormatter)
+{
+    JsonValue array = JsonValue::makeArray();
+    array.append(JsonValue(0.1));
+    array.append(JsonValue(-0.0));
+    array.append(JsonValue(1e21));
+    array.append(JsonValue(std::numeric_limits<double>::infinity()));
+    EXPECT_EQ(array.dump(),
+              "[0.10000000000000001,-0,1e+21,null]");
 }
 
 TEST(JsonTest, EscapeTextCoversControlCharacters)

@@ -384,19 +384,25 @@ TEST(ResultCacheTest, FailedRevalidationKeepsTheStaleEntry)
     config.shardCount = 1;
     config.ttlSeconds = 0.03;
     config.staleSeconds = 10.0;
-    ResultCache cache(config);
+    MetricsRegistry metrics;
+    ResultCache cache(config, &metrics);
 
     cache.getOrCompute("k", [] { return responseOf("v1"); });
     std::this_thread::sleep_for(std::chrono::milliseconds(60));
 
-    // The revalidation faults; freshness degrades, not availability.
-    EXPECT_THROW(cache.getOrCompute(
-                     "k",
-                     []() -> CachedResponse {
-                         throw std::runtime_error("compute fault");
-                     }),
-                 std::runtime_error);
+    // The revalidation faults; freshness degrades, not
+    // availability: the caller that revalidated gets the stale
+    // entry, not the error.
+    const ResultCache::Outcome failed = cache.getOrCompute(
+        "k", []() -> CachedResponse {
+            throw std::runtime_error("compute fault");
+        });
+    ASSERT_NE(failed.response, nullptr);
+    EXPECT_TRUE(failed.stale);
+    EXPECT_TRUE(failed.hit);
+    EXPECT_EQ(failed.response->body, "v1");
     EXPECT_EQ(cache.entryCount(), 1u);
+    EXPECT_EQ(metrics.counter("cache.revalidation_failures"), 1u);
 
     // The surviving stale entry still shields concurrent callers
     // from the next revalidation attempt.
@@ -424,6 +430,30 @@ TEST(ResultCacheTest, FailedRevalidationKeepsTheStaleEntry)
     }
     gate_cv.notify_all();
     retry.join();
+}
+
+TEST(ResultCacheTest, RevalidationFailingPastTheStaleWindowRethrows)
+{
+    ResultCacheConfig config;
+    config.shardCount = 1;
+    config.ttlSeconds = 0.03;
+    config.staleSeconds = 0.1;
+    ResultCache cache(config);
+
+    cache.getOrCompute("k", [] { return responseOf("v1"); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+
+    // The entry is inside its window when the revalidation starts
+    // and past it when the revalidation fails: nothing servable is
+    // left, so the caller gets the error.
+    EXPECT_THROW(cache.getOrCompute(
+                     "k",
+                     []() -> CachedResponse {
+                         std::this_thread::sleep_for(
+                             std::chrono::milliseconds(150));
+                         throw std::runtime_error("compute fault");
+                     }),
+                 std::runtime_error);
 }
 
 TEST(ResultCacheTest, HardExpiryBeyondStaleWindowRecomputes)

@@ -217,14 +217,11 @@ TEST(MetricsRegistryTest, WriteTextListsEveryKind)
     metrics.setGauge("g", 1.5);
     metrics.observeTimer("t", 0.5);
     metrics.observeHistogram("h", 0.25);
-    std::ostringstream out;
-    metrics.writeText(out);
-    EXPECT_NE(out.str().find("counter c 3\n"), std::string::npos);
-    EXPECT_NE(out.str().find("gauge g 1.5\n"), std::string::npos);
-    EXPECT_NE(out.str().find("timer t 1 0.5\n"),
-              std::string::npos);
-    EXPECT_NE(out.str().find("histogram h 1 0.25"),
-              std::string::npos);
+    const std::string text = metrics.text();
+    EXPECT_NE(text.find("counter c 3\n"), std::string::npos);
+    EXPECT_NE(text.find("gauge g 1.5\n"), std::string::npos);
+    EXPECT_NE(text.find("timer t 1 0.5\n"), std::string::npos);
+    EXPECT_NE(text.find("histogram h 1 0.25"), std::string::npos);
 }
 
 TEST(MetricsRegistryTest, JsonReportIsParseableWithOddNames)
