@@ -295,6 +295,14 @@ errors=$(metrics_value "$work/metrics.json" server.handler_errors)
     fail "no handler errors despite injected compute faults"
 [ "$errors" -le "$requests" ] ||
     fail "handler_errors ($errors) exceeds requests ($requests)"
+# Cheap misses compute on the io shard: the storm must have sent
+# some there, so the armed cache.compute and model.solve faults
+# also land on shard-computed misses, not only on the pool.
+inline_computes=$(metrics_value "$work/metrics.json" \
+    server.inline_computes)
+[ "$inline_computes" -gt 0 ] ||
+    fail "no miss was computed on an io shard during the storm"
+echo "== $inline_computes misses computed on the io shards"
 
 # --- retrying client rides out the chaos ------------------------------
 if [ -n "$client" ]; then

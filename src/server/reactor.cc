@@ -648,6 +648,11 @@ HttpReactor::handleReadable(Shard &shard, Conn *conn)
             conn->parser.append(
                 chunk, static_cast<std::size_t>(got));
             conn->lastActivity = Clock::now();
+            // A short read drained the socket: epoll is
+            // level-triggered, so a FIN or bytes that arrive later
+            // fire EPOLLIN again, and a recv() for EAGAIN is waste.
+            if (static_cast<std::size_t>(got) < sizeof(chunk))
+                break;
             continue;
         }
         if (got == 0) {

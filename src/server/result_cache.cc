@@ -145,6 +145,8 @@ ResultCache::eraseLocked(
     std::unordered_map<std::string, Entry>::iterator it)
 {
     shard.bytes -= it->second.bytes;
+    totalBytes_ -= it->second.bytes;
+    totalEntries_ -= 1;
     shard.lru.erase(it->second.lruIt);
     shard.entries.erase(it);
 }
@@ -176,6 +178,8 @@ ResultCache::insertLocked(
     if (ttl_.count() > 0)
         entry.expiry = Clock::now() + ttl_;
     shard.bytes += bytes;
+    totalBytes_ += bytes;
+    totalEntries_ += 1;
     shard.entries.insert_or_assign(key, std::move(entry));
 }
 
@@ -189,6 +193,13 @@ ResultCache::freshHitLocked(Shard &shard, Entry &entry,
     if (metrics_ != nullptr)
         metrics_->addCounter("cache.hits");
     return entry.response;
+}
+
+bool
+ResultCache::pastStaleWindow(const Entry &entry,
+                             Clock::time_point now) const
+{
+    return ttl_.count() > 0 && now >= entry.expiry + stale_;
 }
 
 std::shared_ptr<const CachedResponse>
@@ -221,10 +232,7 @@ ResultCache::getOrCompute(const std::string &key,
             const auto now = Clock::now();
             if (auto fresh = freshHitLocked(shard, it->second, now))
                 return {std::move(fresh), true, false, false};
-            const bool within_stale =
-                stale_.count() > 0 &&
-                now < it->second.expiry + stale_;
-            if (!within_stale) {
+            if (pastStaleWindow(it->second, now)) {
                 eraseLocked(shard, it);
                 if (metrics_ != nullptr)
                     metrics_->addCounter("cache.expired");
@@ -266,7 +274,42 @@ ResultCache::getOrCompute(const std::string &key,
             std::rethrow_exception(flight->error);
         return {flight->response, false, true};
     }
+    return lead(shard, key, flight, compute, std::move(stale_entry),
+                stale_until);
+}
 
+std::optional<ResultCache::Outcome>
+ResultCache::tryCompute(const std::string &key, const Compute &compute)
+{
+    Shard &shard = shardFor(key);
+    std::shared_ptr<Flight> flight;
+    {
+        std::lock_guard<std::mutex> lock(shard.mutex);
+        const auto it = shard.entries.find(key);
+        if (it != shard.entries.end()) {
+            // A fresh entry is a hit and a stale one is served while
+            // getOrCompute() revalidates it: neither is a miss here.
+            if (!pastStaleWindow(it->second, Clock::now()))
+                return std::nullopt;
+            eraseLocked(shard, it);
+            if (metrics_ != nullptr)
+                metrics_->addCounter("cache.expired");
+        }
+        if (shard.flights.count(key) != 0)
+            return std::nullopt; // joining would wait
+        flight = std::make_shared<Flight>();
+        shard.flights.emplace(key, flight);
+    }
+    return lead(shard, key, flight, compute, nullptr, {});
+}
+
+ResultCache::Outcome
+ResultCache::lead(Shard &shard, const std::string &key,
+                  const std::shared_ptr<Flight> &flight,
+                  const Compute &compute,
+                  std::shared_ptr<const CachedResponse> stale_entry,
+                  Clock::time_point stale_until)
+{
     if (metrics_ != nullptr)
         metrics_->addCounter("cache.misses");
 
@@ -296,13 +339,7 @@ ResultCache::getOrCompute(const std::string &key,
         flight->done = true;
     }
     flight->cv.notify_all();
-
-    if (metrics_ != nullptr) {
-        metrics_->setGauge("cache.bytes",
-                           static_cast<double>(sizeBytes()));
-        metrics_->setGauge("cache.entries",
-                           static_cast<double>(entryCount()));
-    }
+    publishGauges();
 
     if (error != nullptr && stale_entry != nullptr &&
         Clock::now() < stale_until) {
@@ -320,26 +357,14 @@ ResultCache::getOrCompute(const std::string &key,
     return {std::move(response), false, false};
 }
 
-std::size_t
-ResultCache::sizeBytes() const
+void
+ResultCache::publishGauges()
 {
-    std::size_t total = 0;
-    for (const auto &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard->mutex);
-        total += shard->bytes;
-    }
-    return total;
-}
-
-std::size_t
-ResultCache::entryCount() const
-{
-    std::size_t total = 0;
-    for (const auto &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard->mutex);
-        total += shard->entries.size();
-    }
-    return total;
+    if (metrics_ == nullptr)
+        return;
+    metrics_->setGauge("cache.bytes", static_cast<double>(sizeBytes()));
+    metrics_->setGauge("cache.entries",
+                       static_cast<double>(entryCount()));
 }
 
 bool
@@ -540,13 +565,9 @@ ResultCache::loadSnapshot(const std::string &path,
                      std::move(entry.response));
         ++loaded;
     }
-    if (metrics_ != nullptr) {
+    if (metrics_ != nullptr)
         metrics_->addCounter("cache.persist.loaded", loaded);
-        metrics_->setGauge("cache.bytes",
-                           static_cast<double>(sizeBytes()));
-        metrics_->setGauge("cache.entries",
-                           static_cast<double>(entryCount()));
-    }
+    publishGauges();
     return true;
 }
 
@@ -555,10 +576,13 @@ ResultCache::invalidateAll()
 {
     for (const auto &shard : shards_) {
         std::lock_guard<std::mutex> lock(shard->mutex);
+        totalBytes_ -= shard->bytes;
+        totalEntries_ -= shard->entries.size();
         shard->entries.clear();
         shard->lru.clear();
         shard->bytes = 0;
     }
+    publishGauges();
 }
 
 } // namespace bwwall

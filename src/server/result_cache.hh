@@ -9,7 +9,10 @@
  * deduplication guarantees that concurrent identical requests
  * compute the answer exactly once — late arrivals block on the
  * in-flight computation and share its result instead of piling onto
- * the thread pool with duplicate sweeps.
+ * the thread pool with duplicate sweeps.  A caller that must never
+ * block (bwwalld's io shard) uses tryCompute() instead, which
+ * computes a plain miss through the same leader path but declines
+ * where getOrCompute() would wait or serve stale.
  *
  * Only status-200 responses are cached; errors are shared with the
  * waiters of the flight that produced them but never stored.
@@ -27,6 +30,7 @@
 #ifndef BWWALL_SERVER_RESULT_CACHE_HH
 #define BWWALL_SERVER_RESULT_CACHE_HH
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <chrono>
@@ -35,6 +39,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -119,6 +124,20 @@ class ResultCache
                          const Compute &compute);
 
     /**
+     * getOrCompute() for a caller that must never wait: computes
+     * on this thread only when `key` has no fresh entry, no entry
+     * inside its stale window, and no flight in progress.
+     * Otherwise it declines — std::nullopt, nothing counted,
+     * nothing touched — and the caller hands the key to
+     * getOrCompute() elsewhere.  A
+     * claimed miss runs getOrCompute()'s own leader path: the same
+     * counters, insert, injected "cache.compute" fault, and
+     * exceptions (which propagate here and to every flight waiter).
+     */
+    std::optional<Outcome> tryCompute(const std::string &key,
+                                      const Compute &compute);
+
+    /**
      * The fresh entry for `key`, counted and promoted exactly like
      * a getOrCompute() hit, or nullptr — for a missing or expired
      * entry, which is left untouched and uncounted for the
@@ -128,11 +147,11 @@ class ResultCache
     std::shared_ptr<const CachedResponse>
     getFresh(const std::string &key);
 
-    /** Cached bytes across all shards. */
-    std::size_t sizeBytes() const;
+    /** Cached bytes across all shards (a running total). */
+    std::size_t sizeBytes() const { return totalBytes_.load(); }
 
-    /** Cached entries across all shards. */
-    std::size_t entryCount() const;
+    /** Cached entries across all shards (a running total). */
+    std::size_t entryCount() const { return totalEntries_.load(); }
 
     /** Drops every cached entry (in-flight computations finish). */
     void invalidateAll();
@@ -210,6 +229,27 @@ class ResultCache
     std::shared_ptr<const CachedResponse>
     freshHitLocked(Shard &shard, Entry &entry, Clock::time_point now);
 
+    /**
+     * The flight owner's half of getOrCompute() and tryCompute():
+     * counts the miss, runs compute() (or the injected
+     * "cache.compute" fault), caches a 200, and releases the
+     * flight's waiters.  @p stale_entry is the expired entry this
+     * flight revalidates (null for a plain miss): a failure before
+     * @p stale_until answers it instead of rethrowing.
+     */
+    Outcome lead(Shard &shard, const std::string &key,
+                 const std::shared_ptr<Flight> &flight,
+                 const Compute &compute,
+                 std::shared_ptr<const CachedResponse> stale_entry,
+                 Clock::time_point stale_until);
+
+    /** Sets the cache.bytes and cache.entries gauges. */
+    void publishGauges();
+
+    /** @p entry is neither fresh nor servable stale at @p now. */
+    bool pastStaleWindow(const Entry &entry,
+                         Clock::time_point now) const;
+
     /** Inserts under the shard lock, evicting LRU entries as needed. */
     void insertLocked(Shard &shard, const std::string &key,
                       std::shared_ptr<const CachedResponse> response);
@@ -224,6 +264,14 @@ class ResultCache
     std::chrono::nanoseconds stale_{0};
     std::vector<std::unique_ptr<Shard>> shards_;
     MetricsRegistry *metrics_ = nullptr;
+
+    /**
+     * Sums of every shard's bytes and entry count, kept by
+     * insertLocked(), eraseLocked() and invalidateAll() under the
+     * shard lock, so the gauges never lock every shard.
+     */
+    std::atomic<std::size_t> totalBytes_{0};
+    std::atomic<std::size_t> totalEntries_{0};
 };
 
 } // namespace bwwall

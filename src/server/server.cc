@@ -1,6 +1,7 @@
 #include "server/server.hh"
 
 #include <algorithm>
+#include <optional>
 
 #include "server/json.hh"
 #include "server/model_service.hh"
@@ -361,7 +362,8 @@ BwwallServer::prepareModelQuery(const HttpRequest &request,
         metrics_.addCounter("cluster.peer_fill.received");
 
     // Only a fresh hit for an undegraded admit is answered here; a
-    // stale entry, a miss, and a degraded sweep go to the pool.
+    // stale entry, a miss, and a degraded sweep go on to the compute
+    // step (answerInline() runs a Cheap miss itself).
     if (query->decision != AdmitDecision::Admit)
         return false;
     std::shared_ptr<const CachedResponse> hit;
@@ -409,14 +411,24 @@ BwwallServer::answerInline(
             break;
           case RouteHandler::ModelQuery: {
             auto query = std::make_unique<ModelQuery>();
-            if (!prepareModelQuery(request, inflight, received,
-                                   query.get(), response)) {
+            if (prepareModelQuery(request, inflight, received,
+                                  query.get(), response)) {
+                // Sheds are not observed: only served requests feed
+                // the latency window and the breakers.
+                observed = query->decision != AdmitDecision::Shed;
+                break;
+            }
+            // A Cheap miss computes in microseconds: the shard runs
+            // it unless that would wait on a flight or a peer.
+            if (route->cost != RouteCost::Cheap ||
+                query->decision != AdmitDecision::Admit ||
+                !handleModelQuery(request, received, *query, true,
+                                  response)) {
                 *prepared = std::move(query);
                 return false;
             }
-            // Sheds are not observed: only served requests feed
-            // the latency window and the breakers.
-            observed = query->decision != AdmitDecision::Shed;
+            metrics_.addCounter("server.inline_computes");
+            observed = true;
             break;
           }
           case RouteHandler::Trace:
@@ -459,10 +471,11 @@ BwwallServer::cachedResponse(const CachedResponse &cached,
     return response;
 }
 
-HttpResponse
+bool
 BwwallServer::handleModelQuery(const HttpRequest &request,
                                Clock::time_point received,
-                               ModelQuery &query)
+                               ModelQuery &query, bool on_shard,
+                               HttpResponse *response)
 {
     try {
         // Cluster mode (docs/CLUSTER.md): on a local miss for a
@@ -476,73 +489,79 @@ BwwallServer::handleModelQuery(const HttpRequest &request,
         // re-forwarded.
         const std::shared_ptr<Cluster> cluster =
             clusterSnapshot();
+        const bool clustered = cluster != nullptr && cluster->enabled();
+        const bool owned = clustered && cluster->selfOwns(query.key);
+        const bool fills = clustered && !owned && !query.peerFill;
+        if (on_shard && fills)
+            return false; // a peer fill is network I/O
         bool peer_filled = false;
-        Span cache_span("server.cache");
-        const ResultCache::Outcome outcome =
-            cache_->getOrCompute(query.key, [&] {
-                if (cluster != nullptr && cluster->enabled()) {
-                    if (cluster->selfOwns(query.key)) {
-                        // Counted whether the miss arrived
-                        // directly or as a fill RPC, so
-                        // owned + fallbacks is the exact
-                        // cluster-wide compute count.
-                        metrics_.addCounter(
-                            "cluster.requests.owned");
-                    } else if (query.peerFill) {
-                        // Loop prevention: a fill for a key we
-                        // do not own (membership disagreement)
-                        // computes locally, never re-forwards.
-                        metrics_.addCounter(
-                            "cluster.local_fallback_computes");
-                    } else {
-                        metrics_.addCounter(
-                            "cluster.requests.remote");
-                        Span fill_span("server.peer_fill");
-                        HttpResponse filled;
-                        const double remaining =
-                            query.deadline > 0.0
-                                ? query.deadline -
-                                      secondsSince(received)
-                                : -1.0;
-                        if (cluster->fillFromPeer(
-                                cluster->owner(query.key),
-                                request.path,
-                                query.key.substr(request.path.size() +
-                                                 1),
-                                remaining, &filled)) {
-                            peer_filled = true;
-                            CachedResponse cached;
-                            cached.status = filled.status;
-                            cached.contentType =
-                                filled.contentType;
-                            cached.body = filled.body;
-                            return cached;
-                        }
-                        metrics_.addCounter(
-                            "cluster.local_fallback_computes");
-                    }
+        const auto compute = [&] {
+            if (owned) {
+                // Counted whether the miss arrived directly or as
+                // a fill RPC, so owned + fallbacks is the exact
+                // cluster-wide compute count.
+                metrics_.addCounter("cluster.requests.owned");
+            } else if (query.peerFill && clustered) {
+                // Loop prevention: a fill for a key we do not own
+                // (membership disagreement) computes locally,
+                // never re-forwards.
+                metrics_.addCounter("cluster.local_fallback_computes");
+            } else if (fills) {
+                metrics_.addCounter("cluster.requests.remote");
+                Span fill_span("server.peer_fill");
+                HttpResponse filled;
+                const double remaining =
+                    query.deadline > 0.0
+                        ? query.deadline - secondsSince(received)
+                        : -1.0;
+                if (cluster->fillFromPeer(
+                        cluster->owner(query.key), request.path,
+                        query.key.substr(request.path.size() + 1),
+                        remaining, &filled)) {
+                    peer_filled = true;
+                    CachedResponse cached;
+                    cached.status = filled.status;
+                    cached.contentType = filled.contentType;
+                    cached.body = filled.body;
+                    return cached;
                 }
-                Span compute_span("server.compute");
-                return executeModelQuery(request.path, query.body);
-            });
+                metrics_.addCounter("cluster.local_fallback_computes");
+            }
+            Span compute_span("server.compute");
+            return executeModelQuery(request.path, query.body);
+        };
+        Span cache_span("server.cache");
+        ResultCache::Outcome outcome;
+        if (on_shard) {
+            // Never wait on the shard: a held flight or a stale entry
+            // goes to the pool, which joins or revalidates it.
+            std::optional<ResultCache::Outcome> claimed =
+                cache_->tryCompute(query.key, compute);
+            if (!claimed)
+                return false;
+            outcome = std::move(*claimed);
+        } else {
+            outcome = cache_->getOrCompute(query.key, compute);
+        }
         traceInstant(outcome.hit ? "server.cache_hit"
                                  : "server.cache_miss");
-        if (query.pastDeadline(received))
-            return deadlineExceeded();
-        return cachedResponse(*outcome.response, query,
-                              outcome.stale, peer_filled);
+        *response = query.pastDeadline(received)
+                        ? deadlineExceeded()
+                        : cachedResponse(*outcome.response, query,
+                                         outcome.stale, peer_filled);
     } catch (const BadRequest &e) {
-        return httpErrorResponseFor(
+        *response = httpErrorResponseFor(
             {ErrorCategory::InvalidInput, e.what()});
     } catch (const Errored &e) {
         metrics_.addCounter("server.handler_errors");
-        return httpErrorResponseFor(e.error());
+        *response = httpErrorResponseFor(e.error());
     } catch (const std::exception &e) {
         metrics_.addCounter("server.handler_errors");
-        return httpErrorResponseFor(
+        *response = httpErrorResponseFor(
             {ErrorCategory::Faulted,
              std::string("internal error: ") + e.what()});
     }
+    return true;
 }
 
 HttpResponse
@@ -634,7 +653,8 @@ BwwallServer::dispatch(const HttpRequest &request,
         response = handleTrace();
         break;
       case RouteHandler::ModelQuery:
-        response = handleModelQuery(request, received, *prepared);
+        handleModelQuery(request, received, *prepared, false,
+                         &response);
         observed = true;
         break;
       case RouteHandler::IngestCreate:

@@ -5,14 +5,18 @@
  * Architecture: an HttpReactor (server/reactor.hh) owns all I/O —
  * an accept thread deals non-blocking keep-alive sockets to a small
  * pool of epoll event-loop shards, and the shard that parsed a
- * request answers it whenever the answer needs no compute and no
- * I/O: /healthz, /metrics, /v1/cluster, 404s and 405s, sheds,
- * malformed bodies, and fresh cache hits.  Only cache misses, stale
- * entries, degraded sweeps, ingest calls, and /v1/trace exports
- * cross a lock-free queue to a compute pool, whose responses come
- * back through a per-shard completion queue — so one daemon holds
- * tens of thousands of concurrent connections instead of one per
- * worker thread, and cheap traffic never leaves its shard.  This
+ * request answers it whenever the answer needs no wait and no I/O:
+ * /healthz, /metrics, /v1/cluster, 404s and 405s, sheds, malformed
+ * bodies, fresh cache hits, and misses on the Cheap routes
+ * (/v1/traffic, /v1/solve) that this node computes itself and no
+ * flight holds, which compute in microseconds.  Only Expensive
+ * misses (sweeps, batches), stale entries, joins of an in-flight
+ * key, misses another node owns (a peer fill is network I/O),
+ * degraded sweeps, ingest calls, and /v1/trace exports cross a
+ * lock-free queue to a compute pool, whose responses come back
+ * through a per-shard completion queue — so one daemon holds tens
+ * of thousands of concurrent connections instead of one per worker
+ * thread, and cheap traffic never leaves its shard.  This
  * layer owns the policy on top: the route table
  * (server/routes.hh) mapping method + path to a handler and a cost
  * class, the model-service handlers, the result cache, and the
@@ -264,8 +268,9 @@ class BwwallServer
 
     /**
      * Serves one request the io shard handed over (a model query
-     * that needs the cache's compute path, a trace export, or an
-     * ingest call) on the compute pool; never throws.
+     * the shard may not compute: an Expensive or degraded one, a
+     * held flight, a stale entry, a peer fill; a trace export; or
+     * an ingest call) on the compute pool; never throws.
      * @param prepared What answerInline() worked out for a model
      *                 query (null for the other routes).
      */
@@ -275,11 +280,13 @@ class BwwallServer
 
     /**
      * The io shard's hook (HttpReactor::InlineFn): answers every
-     * request whose answer needs no compute and no I/O right there
-     * (/healthz, /metrics, /v1/cluster, 404, 405, and any model
-     * query prepareModelQuery() answers); everything else goes to
-     * dispatch() on the compute pool, a model query with its
-     * prepared state attached.
+     * request whose answer needs no wait and no I/O right there
+     * (/healthz, /metrics, /v1/cluster, 404, 405, any model query
+     * prepareModelQuery() answers, and an Admit-ted Cheap miss that
+     * handleModelQuery() computes on the shard, counted in
+     * server.inline_computes); everything else goes to dispatch()
+     * on the compute pool, a model query with its prepared state
+     * attached.
      */
     bool answerInline(const HttpRequest &request,
                       Clock::time_point received, unsigned inflight,
@@ -299,10 +306,18 @@ class BwwallServer
                            Clock::time_point received,
                            ModelQuery *query, HttpResponse *answer);
 
-    /** Serves a prepared model query through the cache. */
-    HttpResponse handleModelQuery(const HttpRequest &request,
-                                  Clock::time_point received,
-                                  ModelQuery &query);
+    /**
+     * Serves a prepared model query through the cache into
+     * *response: a peer fill for a key another node owns, else the
+     * compute, with the deadline 504 and the error taxonomy.  On the
+     * io shard (@p on_shard) it never waits: it returns false with
+     * nothing counted when the answer needs a peer fill, a held
+     * flight, or a stale entry's revalidation (ResultCache::
+     * tryCompute()), and the query goes to the pool instead.
+     */
+    bool handleModelQuery(const HttpRequest &request,
+                          Clock::time_point received, ModelQuery &query,
+                          bool on_shard, HttpResponse *response);
 
     /** The response for a cached answer, with its marker headers. */
     HttpResponse cachedResponse(const CachedResponse &cached,

@@ -454,7 +454,9 @@ TEST(HttpServerTraceTest, OptedInRequestRoundTripsThroughV1Trace)
     EXPECT_TRUE(server.traceRecorder()->collect().empty());
 
     // An X-BWWall-Trace request records its lifecycle; a distinct
-    // body forces a cache miss, so server.compute must appear.
+    // body forces a cache miss, so server.compute must appear.  A
+    // /v1/solve miss is Cheap: the io shard computes it, so every
+    // span lands on the shard's lane and none is server.prepare.
     ASSERT_TRUE(client->perform(
         {.method = "POST", .target = "/v1/solve",
          .headers = {{"X-BWWall-Trace", "1"}},
@@ -462,6 +464,32 @@ TEST(HttpServerTraceTest, OptedInRequestRoundTripsThroughV1Trace)
         &response, &error))
         << error;
     EXPECT_EQ(response.status, 200);
+    std::map<std::string, std::uint32_t> lanes;
+    for (const TraceEvent &event : server.traceRecorder()->collect()) {
+        if (event.kind == TraceEvent::Kind::Span)
+            lanes[event.name] = event.tid;
+    }
+    for (const char *name : {"server.request", "server.parse",
+                             "server.cache", "server.compute",
+                             "server.serialize"}) {
+        ASSERT_EQ(lanes.count(name), 1u) << name;
+        EXPECT_EQ(lanes[name], lanes["server.request"]) << name;
+    }
+    EXPECT_EQ(lanes.count("server.prepare"), 0u);
+    // Both solve misses, the plain one and the traced one.
+    EXPECT_EQ(server.metrics().counter("server.inline_computes"), 2u);
+
+    // An Expensive miss (/v1/batch) still crosses to the pool: the
+    // io shard records its share as server.prepare.
+    ASSERT_TRUE(client->perform(
+        {.method = "POST", .target = "/v1/batch",
+         .headers = {{"X-BWWall-Trace", "1"}},
+         .body = "{\"requests\":[{\"path\":\"/v1/solve\","
+                 "\"body\":{\"alpha\":0.3,\"total_ceas\":32}}]}"},
+        &response, &error))
+        << error;
+    EXPECT_EQ(response.status, 200);
+    EXPECT_EQ(server.metrics().counter("server.inline_computes"), 2u);
 
     // The export is strict-parser-clean Chrome JSON containing the
     // request lifecycle spans.
@@ -488,7 +516,7 @@ TEST(HttpServerTraceTest, OptedInRequestRoundTripsThroughV1Trace)
     EXPECT_EQ(names.count("server.cache"), 1u);
     EXPECT_EQ(names.count("server.compute"), 1u);
     EXPECT_EQ(names.count("server.cache_miss"), 1u);
-    // The io shard's share of a request it sent on to the pool.
+    // The io shard's share of the batch it sent on to the pool.
     EXPECT_EQ(names.count("server.prepare"), 1u);
 
     // An opted-in cache hit records the hit marker, not a compute.
@@ -1245,6 +1273,239 @@ TEST_F(InlineHitTest, NoComputeRequestsAnswerWhileEveryComputeThreadIsBlocked)
     owner.join();
     EXPECT_EQ(first.get(), 200);
     EXPECT_EQ(second.get(), 200);
+}
+
+/**
+ * The io shard computing Cheap misses itself: the same one-shard,
+ * two-compute-thread server, plus a held single flight that can park
+ * both compute threads.
+ */
+class InlineComputeTest : public InlineHitTest
+{
+  protected:
+    void
+    TearDown() override
+    {
+        releaseFlight();
+        InlineHitTest::TearDown();
+    }
+
+    /**
+     * Holds the compute of @p path @p text's key open on a test
+     * thread, the way a slow compute would, until releaseFlight().
+     */
+    void
+    holdFlight(const std::string &path, const std::string &text)
+    {
+        ASSERT_TRUE(JsonValue::parse(text, &heldBody_));
+        heldPath_ = path;
+        const std::string key = canonicalCacheKey(path, heldBody_);
+        const std::uint64_t misses = counter("cache.misses");
+        holder_ = std::thread([this, key] {
+            server_->cache().getOrCompute(key, [this] {
+                std::unique_lock<std::mutex> lock(mutex_);
+                cv_.wait(lock, [this] { return release_; });
+                return executeModelQuery(heldPath_, heldBody_);
+            });
+        });
+        while (counter("cache.misses") == misses)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+
+    void
+    releaseFlight()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            release_ = true;
+        }
+        cv_.notify_all();
+        if (holder_.joinable())
+            holder_.join();
+    }
+
+    /**
+     * POSTs @p text to @p path traced, on a connection of its own.
+     * The fixture keeps a copy, so a failed assertion returns before
+     * any wait: TearDown() releases the flight first.
+     */
+    std::shared_future<HttpClientResponse>
+    postAsync(const std::string &path, const std::string &text)
+    {
+        const std::uint16_t port = server_->port();
+        pending_.push_back(
+            std::async(std::launch::async, [port, path, text] {
+                HttpClient client("127.0.0.1", port);
+                HttpClientResponse response;
+                client.perform({.method = "POST",
+                                .target = path,
+                                .headers = {{"X-BWWall-Trace", "1"}},
+                                .body = text},
+                               &response);
+                return response;
+            }).share());
+        return pending_.back();
+    }
+
+    /** Recorded spans named @p name. */
+    std::size_t
+    spans(const char *name)
+    {
+        std::size_t count = 0;
+        for (const TraceEvent &event :
+             server_->traceRecorder()->collect())
+            count += event.kind == TraceEvent::Kind::Span &&
+                     std::strcmp(event.name, name) == 0;
+        return count;
+    }
+
+    /** Waits up to 10 s for @p count server.prepare spans. */
+    bool
+    awaitPrepared(std::size_t count)
+    {
+        const auto give_up = std::chrono::steady_clock::now() +
+                             std::chrono::seconds(10);
+        while (spans("server.prepare") < count &&
+               std::chrono::steady_clock::now() < give_up)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        return spans("server.prepare") == count;
+    }
+
+    std::vector<std::shared_future<HttpClientResponse>> pending_;
+    JsonValue heldBody_;
+    std::string heldPath_;
+    std::thread holder_;
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    bool release_ = false;
+};
+
+const char kTraffic[] = "{\"cores\":16,\"alpha\":0.5,\"total_ceas\":32}";
+
+TEST_F(InlineComputeTest, MissAnswersWhileEveryComputeThreadIsParked)
+{
+    ServerConfig config;
+    config.trace = true; // standby: opt-in only
+    start(config);
+    holdFlight("/v1/solve", kSolve);
+    const auto first = postAsync("/v1/solve", kSolve);
+    const auto second = postAsync("/v1/solve", kSolve);
+    // Both joined the held flight on the pool: no compute thread is
+    // free.
+    ASSERT_TRUE(awaitPrepared(2));
+    EXPECT_EQ(counter("server.inline_computes"), 0u);
+
+    const std::uint64_t misses = counter("cache.misses");
+    client_->setReadTimeoutMs(5000);
+    const auto sent = std::chrono::steady_clock::now();
+    const HttpClientResponse response =
+        post("/v1/traffic", kTraffic, {{"X-BWWall-Trace", "1"}});
+    EXPECT_LT(std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - sent)
+                  .count(),
+              1.0);
+    ASSERT_EQ(response.status, 200);
+    JsonValue body;
+    ASSERT_TRUE(JsonValue::parse(kTraffic, &body));
+    const CachedResponse direct = executeModelQuery("/v1/traffic", body);
+    EXPECT_EQ(response.body, direct.body);
+    EXPECT_EQ(counter("cache.misses") - misses, 1u);
+    EXPECT_EQ(counter("server.inline_computes"), 1u);
+    // Computed on the shard, never prepared for the pool.
+    EXPECT_EQ(spans("server.prepare"), 2u);
+    EXPECT_EQ(spans("server.compute"), 1u);
+    EXPECT_EQ(first.wait_for(std::chrono::seconds(0)),
+              std::future_status::timeout);
+
+    releaseFlight();
+    EXPECT_EQ(first.get().status, 200);
+    EXPECT_EQ(second.get().status, 200);
+    EXPECT_EQ(counter("server.inline_computes"), 1u);
+}
+
+TEST_F(InlineComputeTest, MissOnAHeldFlightGoesToThePool)
+{
+    ServerConfig config;
+    config.trace = true;
+    start(config);
+    holdFlight("/v1/solve", kSolve);
+    const auto joined = postAsync("/v1/solve", kSolve);
+    // The shard declined the held key, nothing counted, and sent it
+    // on: it waits on the pool, not on the shard.
+    ASSERT_TRUE(awaitPrepared(1));
+    EXPECT_EQ(counter("server.inline_computes"), 0u);
+    EXPECT_EQ(counter("cache.misses"), 1u);
+
+    // The shard that sent it on still answers.
+    client_->setReadTimeoutMs(5000);
+    const auto sent = std::chrono::steady_clock::now();
+    HttpClientResponse health;
+    std::string error;
+    ASSERT_TRUE(client_->perform({.target = "/healthz"}, &health, &error))
+        << error;
+    EXPECT_EQ(health.status, 200);
+    EXPECT_LT(std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - sent)
+                  .count(),
+              1.0);
+    EXPECT_EQ(joined.wait_for(std::chrono::seconds(0)),
+              std::future_status::timeout);
+
+    releaseFlight();
+    const HttpClientResponse response = joined.get();
+    EXPECT_EQ(response.status, 200);
+    EXPECT_EQ(response.body, executeModelQuery("/v1/solve", heldBody_).body);
+    EXPECT_EQ(counter("cache.single_flight_joined"), 1u);
+    EXPECT_EQ(counter("cache.misses"), 1u);
+    EXPECT_EQ(counter("server.inline_computes"), 0u);
+}
+
+TEST_F(InlineComputeTest, RemoteOwnedMissPeerFillsOnThePool)
+{
+    ServerConfig config;
+    config.trace = true;
+    start(config);
+    ServerConfig owner_config;
+    owner_config.port = 0;
+    owner_config.threads = 2;
+    BwwallServer owner(owner_config);
+    owner.start();
+    ClusterConfig cluster;
+    const std::string self = "127.0.0.1:" + std::to_string(server_->port());
+    const std::string other = "127.0.0.1:" + std::to_string(owner.port());
+    cluster.peers = {self, other};
+    cluster.peerDeadlineMs = 5000;
+    cluster.self = self;
+    server_->configureCluster(cluster);
+    cluster.self = other;
+    owner.configureCluster(cluster);
+
+    // A solve body whose key the other node owns.
+    std::string text;
+    for (int i = 0; i < 400 && text.empty(); ++i) {
+        const std::string candidate =
+            "{\"alpha\":0." + std::to_string(100 + i) + "}";
+        JsonValue body;
+        ASSERT_TRUE(JsonValue::parse(candidate, &body));
+        if (server_->clusterSnapshot()->owner(
+                canonicalCacheKey("/v1/solve", body)) == other)
+            text = candidate;
+    }
+    ASSERT_FALSE(text.empty());
+
+    const HttpClientResponse filled =
+        post("/v1/solve", text, {{"X-BWWall-Trace", "1"}});
+    ASSERT_EQ(filled.status, 200);
+    EXPECT_EQ(filled.headers.count("x-bwwall-peer-filled"), 1u);
+    EXPECT_EQ(counter("cluster.peer_fill.attempts"), 1u);
+    EXPECT_EQ(counter("server.inline_computes"), 0u);
+    EXPECT_EQ(spans("server.prepare"), 1u);
+    EXPECT_EQ(spans("server.peer_fill"), 1u);
+    // The owner computed the fill RPC on its own io shard.
+    EXPECT_EQ(owner.metrics().counter("server.inline_computes"), 1u);
+    EXPECT_EQ(owner.metrics().counter("cluster.requests.owned"), 1u);
+    client_.reset();
+    owner.stop();
 }
 
 } // namespace

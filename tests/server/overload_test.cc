@@ -3,8 +3,8 @@
  * Tests for the request-level overload policy: pressure-based
  * degradation and shedding of expensive endpoints, p99-latency
  * admission (including the everything-sheds threshold and the
- * sample horizon that lets a full shed recover), and the
- * per-endpoint breaker lifecycle (open -> half-open probe ->
+ * sample horizon that lets a full shed recover, and no sooner), and
+ * the per-endpoint breaker lifecycle (open -> half-open probe ->
  * close or re-open).
  */
 
@@ -124,6 +124,48 @@ TEST(OverloadTest, LatencyShedRecoversAsSamplesAgeOut)
     // or the server would never serve again.
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     EXPECT_DOUBLE_EQ(control.recentP99Seconds(), 0.0);
+    EXPECT_EQ(control.admit(kTraffic, 0), AdmitDecision::Admit);
+}
+
+TEST(OverloadTest, FullShedHoldsUntilTheNewestSlowSampleAges)
+{
+    // Pins the behaviour behind perf_server --chaos's bistable
+    // shed_rate: past twice the target every query sheds, sheds are
+    // never observed, so nothing displaces the slow samples and the
+    // shed lasts until the newest of them is older than the horizon.
+    OverloadConfig config;
+    config.shedP99Seconds = 0.010;
+    config.latencyHorizonSeconds = 0.2;
+    OverloadController control(config);
+    using Clock = std::chrono::steady_clock;
+    control.observe(kTraffic, 0.100, false);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    // Taken before the newest sample's own stamp, so the shed must
+    // last at least a horizon past it.
+    const Clock::time_point newest = Clock::now();
+    control.observe(kTraffic, 0.100, false);
+
+    std::size_t sheds = 0;
+    Clock::time_point admitted{};
+    const Clock::time_point give_up = newest + std::chrono::seconds(5);
+    while (Clock::now() < give_up) {
+        const AdmitDecision decision = control.admit(kTraffic, 0);
+        if (decision == AdmitDecision::Admit) {
+            admitted = Clock::now(); // no earlier than admit()'s clock
+            break;
+        }
+        ++sheds;
+        // A shed leaves the window as it was.
+        ASSERT_DOUBLE_EQ(control.recentP99Seconds(), 0.100);
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    ASSERT_NE(admitted, Clock::time_point{});
+    EXPECT_GT(sheds, 0u);
+    // The older sample aged out 100 ms earlier; the shed held on.
+    EXPECT_GE(admitted - newest, std::chrono::milliseconds(200));
+    // Admission is back and stays back: the window is empty.
+    EXPECT_DOUBLE_EQ(control.recentP99Seconds(), 0.0);
+    EXPECT_EQ(control.admit(kSweep, 0), AdmitDecision::Admit);
     EXPECT_EQ(control.admit(kTraffic, 0), AdmitDecision::Admit);
 }
 

@@ -5,10 +5,11 @@
  * thread-per-connection server lacked), accept-time connection
  * admission, pipelined request ordering, fast graceful drain with
  * idle keep-alive connections parked, connection churn, no
- * lost compute wake under multi-shard load, and cache hits answered
- * on the io shard (a pipelined flood of them, and one queued behind
- * a miss).  The TSan shard runs these to check the event-loop ->
- * compute-pool -> write-back handoff.
+ * lost compute wake under multi-shard load, cache hits answered on
+ * the io shard (a pipelined flood of them, and one queued behind a
+ * miss), and requests whose FIN arrives with them.  The TSan shard
+ * runs these to check the event-loop -> compute-pool -> write-back
+ * handoff.
  */
 
 #include <gtest/gtest.h>
@@ -400,6 +401,70 @@ TEST(ReactorTest, MultiShardLoadLosesNoComputeWake)
     for (std::thread &thread : clients)
         thread.join();
     EXPECT_EQ(failures.load(), 0u);
+    server->stop();
+}
+
+/** True once the peer closes @p fd (recv() returns 0) within 10 s. */
+bool
+closedByPeer(int fd)
+{
+    char byte = 0;
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::seconds(10);
+    while (std::chrono::steady_clock::now() < deadline) {
+        const ssize_t got = ::recv(fd, &byte, 1, MSG_DONTWAIT);
+        if (got == 0)
+            return true;
+        if (got > 0)
+            return false; // bytes after the last expected response
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+}
+
+TEST(ReactorTest, RequestAndFinSentTogetherAreAnsweredThenClosed)
+{
+    // The shard stops reading at a short read and relies on the
+    // level-triggered EPOLLIN for what is left: a FIN already queued
+    // behind the request must still close the connection, after the
+    // answer, whether the shard answers (/healthz, a Cheap miss) or
+    // the pool does (a sweep).
+    ServerConfig config;
+    config.threads = 2;
+    config.ioShards = 1;
+    auto server = startServer(config);
+    const std::string sweep = "{\"kind\":\"scaling\",\"generations\":3}";
+    const std::string solve = "{\"alpha\":0.5,\"total_ceas\":32}";
+    const std::string healthz = "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n";
+    const std::vector<std::tuple<std::string, std::size_t, std::string>>
+        cases = {
+            {healthz, 1, "{\"status\":\"ok\"}\n"},
+            {postWire("/v1/solve", solve), 1, ""},
+            {postWire("/v1/sweep", sweep), 1, ""},
+            // Pipelined: an inline answer, then a pool one, then FIN.
+            {healthz + postWire("/v1/sweep",
+                                "{\"kind\":\"scaling\",\"generations\":4}"),
+             2, ""},
+        };
+    for (const auto &[wire, count, first_body] : cases) {
+        const int fd = connectTo(server->port());
+        ASSERT_GE(fd, 0);
+        ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
+                  static_cast<ssize_t>(wire.size()));
+        ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+        const std::vector<std::string> bodies = readBodies(fd, count);
+        ASSERT_EQ(bodies.size(), count) << wire;
+        for (const std::string &body : bodies)
+            EXPECT_FALSE(body.empty()) << wire;
+        if (!first_body.empty()) {
+            EXPECT_EQ(bodies.front(), first_body);
+        }
+        EXPECT_TRUE(closedByPeer(fd)) << wire;
+        ::close(fd);
+    }
+    EXPECT_EQ(server->metrics().counter("server.malformed_requests"),
+              0u);
+    EXPECT_EQ(server->metrics().counter("server.inline_computes"), 1u);
     server->stop();
 }
 

@@ -2,8 +2,9 @@
  * @file
  * Tests for the sharded result cache: hit/miss accounting, LRU
  * eviction under the byte budget, TTL expiry, error pass-through,
- * and the single-flight guarantee (concurrent identical requests
- * compute exactly once).
+ * the single-flight guarantee (concurrent identical requests
+ * compute exactly once), the running byte and entry totals, and
+ * tryCompute(), the entry point that never waits.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -24,6 +26,8 @@
 #include <vector>
 
 #include "server/result_cache.hh"
+#include "util/error.hh"
+#include "util/fault.hh"
 #include "util/metrics.hh"
 
 namespace bwwall {
@@ -472,6 +476,222 @@ TEST(ResultCacheTest, HardExpiryBeyondStaleWindowRecomputes)
     EXPECT_FALSE(after.stale);
     EXPECT_EQ(after.response->body, "v2");
     EXPECT_GE(metrics.counter("cache.expired"), 1u);
+}
+
+/** A counted byte size: key + body + content type + overhead. */
+std::size_t
+entryBytesOf(const std::string &key, const std::string &body)
+{
+    return key.size() + body.size() +
+           std::string("application/json").size() + 128;
+}
+
+TEST(ResultCacheTest, RunningTotalsTrackInsertEvictExpireAndInvalidate)
+{
+    ResultCacheConfig config;
+    config.shardCount = 1;
+    config.ttlSeconds = 0.05;
+    // Room for two of the entries below, not three.
+    config.maxBytes = 2 * entryBytesOf("a", "11") + 10;
+    MetricsRegistry metrics;
+    ResultCache cache(config, &metrics);
+    const auto expect_totals = [&](std::size_t entries,
+                                   std::size_t bytes) {
+        EXPECT_EQ(cache.entryCount(), entries);
+        EXPECT_EQ(cache.sizeBytes(), bytes);
+        EXPECT_EQ(metrics.gauge("cache.entries"),
+                  static_cast<double>(entries));
+        EXPECT_EQ(metrics.gauge("cache.bytes"),
+                  static_cast<double>(bytes));
+    };
+
+    cache.getOrCompute("a", [] { return responseOf("11"); });
+    cache.getOrCompute("b", [] { return responseOf("22"); });
+    expect_totals(2, 2 * entryBytesOf("a", "11"));
+    // Inserting "c" evicts "a".
+    cache.getOrCompute("c", [] { return responseOf("3"); });
+    EXPECT_EQ(metrics.counter("cache.evictions"), 1u);
+    expect_totals(2, entryBytesOf("b", "22") + entryBytesOf("c", "3"));
+
+    // An expired entry is erased before its recompute is inserted.
+    std::this_thread::sleep_for(std::chrono::milliseconds(80));
+    cache.getOrCompute("b", [] { return responseOf("2"); });
+    EXPECT_EQ(metrics.counter("cache.expired"), 1u);
+    expect_totals(2, entryBytesOf("b", "2") + entryBytesOf("c", "3"));
+    ASSERT_TRUE(cache.tryCompute("c", [] { return responseOf("33"); }));
+    EXPECT_EQ(metrics.counter("cache.expired"), 2u);
+    expect_totals(2, entryBytesOf("b", "2") + entryBytesOf("c", "33"));
+
+    cache.invalidateAll();
+    expect_totals(0, 0);
+
+    // Sixteen shards add up the same way.
+    ResultCacheConfig wide;
+    wide.shardCount = 16;
+    ResultCache spread(wide);
+    std::size_t bytes = 0;
+    for (int i = 0; i < 100; ++i) {
+        const std::string key = "key" + std::to_string(i);
+        spread.getOrCompute(key, [&] { return responseOf(key); });
+        bytes += entryBytesOf(key, key);
+    }
+    EXPECT_EQ(spread.entryCount(), 100u);
+    EXPECT_EQ(spread.sizeBytes(), bytes);
+    spread.invalidateAll();
+    EXPECT_EQ(spread.entryCount(), 0u);
+    EXPECT_EQ(spread.sizeBytes(), 0u);
+}
+
+TEST(ResultCacheTest, TryComputeDeclinesAHeldFlightAndCountsNothing)
+{
+    MetricsRegistry metrics;
+    ResultCache cache(ResultCacheConfig{}, &metrics);
+    std::mutex gate_mutex;
+    std::condition_variable gate_cv;
+    bool release = false;
+    std::thread owner([&] {
+        cache.getOrCompute("k", [&] {
+            std::unique_lock<std::mutex> lock(gate_mutex);
+            gate_cv.wait(lock, [&] { return release; });
+            return responseOf("owner");
+        });
+    });
+    while (metrics.counter("cache.misses") == 0)
+        std::this_thread::yield();
+
+    const std::string before = metrics.text();
+    bool computed = false;
+    const std::optional<ResultCache::Outcome> declined =
+        cache.tryCompute("k", [&] {
+            computed = true;
+            return responseOf("second");
+        });
+    EXPECT_FALSE(declined.has_value());
+    EXPECT_FALSE(computed);
+    EXPECT_EQ(metrics.text(), before);
+
+    {
+        std::lock_guard<std::mutex> lock(gate_mutex);
+        release = true;
+    }
+    gate_cv.notify_all();
+    owner.join();
+    // The flight's own answer landed; a fresh entry declines too.
+    EXPECT_EQ(cache.getFresh("k")->body, "owner");
+    const std::string settled = metrics.text();
+    EXPECT_FALSE(cache.tryCompute("k", [] { return responseOf("x"); }));
+    EXPECT_EQ(metrics.text(), settled);
+    EXPECT_EQ(metrics.counter("cache.misses"), 1u);
+}
+
+TEST(ResultCacheTest, TryComputeDeclinesAnEntryInsideItsStaleWindow)
+{
+    ResultCacheConfig config;
+    config.shardCount = 1;
+    config.ttlSeconds = 0.03;
+    config.staleSeconds = 10.0;
+    MetricsRegistry metrics;
+    ResultCache cache(config, &metrics);
+    cache.getOrCompute("k", [] { return responseOf("v1"); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+
+    const std::string before = metrics.text();
+    bool computed = false;
+    EXPECT_FALSE(cache.tryCompute("k", [&] {
+        computed = true;
+        return responseOf("v2");
+    }));
+    EXPECT_FALSE(computed);
+    EXPECT_EQ(metrics.text(), before);
+    EXPECT_EQ(cache.entryCount(), 1u);
+
+    // Untouched: the next getOrCompute() still finds the stale
+    // entry and revalidates it.
+    const ResultCache::Outcome revalidated =
+        cache.getOrCompute("k", [] { return responseOf("v2"); });
+    EXPECT_EQ(revalidated.response->body, "v2");
+    EXPECT_EQ(metrics.counter("cache.revalidations"), 1u);
+    EXPECT_EQ(metrics.counter("cache.misses"), 2u);
+}
+
+/**
+ * One run of claimed misses through getOrCompute() or tryCompute():
+ * a success, a non-200, a throw, the injected "cache.compute" fault,
+ * evictions, and a recompute past expiry.  Returns each call's
+ * result, then the counters, gauges and totals it left.
+ */
+std::string
+claimedMissTranscript(bool try_compute)
+{
+    ResultCacheConfig config;
+    config.shardCount = 1;
+    config.ttlSeconds = 0.05;
+    config.maxBytes = 2 * entryBytesOf("a", "A") + 10;
+    MetricsRegistry metrics;
+    ResultCache cache(config, &metrics);
+    std::ostringstream out;
+    const auto call = [&](const std::string &key,
+                          const ResultCache::Compute &compute) {
+        out << key << ": ";
+        try {
+            ResultCache::Outcome outcome;
+            if (try_compute) {
+                std::optional<ResultCache::Outcome> claimed =
+                    cache.tryCompute(key, compute);
+                if (!claimed) {
+                    out << "declined\n";
+                    return;
+                }
+                outcome = std::move(*claimed);
+            } else {
+                outcome = cache.getOrCompute(key, compute);
+            }
+            out << outcome.response->status << ' '
+                << outcome.response->body << " hit=" << outcome.hit
+                << " stale=" << outcome.stale
+                << " shared=" << outcome.sharedFlight << '\n';
+        } catch (const Errored &e) {
+            out << "errored " << e.what() << '\n';
+        } catch (const std::exception &e) {
+            out << "threw " << e.what() << '\n';
+        }
+    };
+
+    call("a", [] { return responseOf("A"); });
+    call("b", [] {
+        CachedResponse failed = responseOf("B");
+        failed.status = 500;
+        return failed;
+    });
+    call("c", []() -> CachedResponse {
+        throw std::runtime_error("boom");
+    });
+    {
+        ScopedFaultInjection faults("cache.compute=nth:1", &metrics);
+        call("d", [] { return responseOf("D"); });
+    }
+    call("e", [] { return responseOf("E"); });
+    call("f", [] { return responseOf("F"); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(80));
+    call("f", [] { return responseOf("G"); });
+    out << metrics.text() << "entries " << cache.entryCount()
+        << " bytes " << cache.sizeBytes() << '\n';
+    return out.str();
+}
+
+TEST(ResultCacheTest, TryComputeMatchesGetOrComputeOnAClaimedMiss)
+{
+    const std::string reference = claimedMissTranscript(false);
+    EXPECT_EQ(claimedMissTranscript(true), reference);
+    // The run did exercise every branch.
+    for (const char *seen :
+         {"a: 200 A hit=0", "b: 500 B", "c: threw boom",
+          "d: errored", "injected fault 'cache.compute'",
+          "f: 200 G hit=0", "cache.expired 1", "cache.evictions",
+          "cache.misses 7", "entries 2"})
+        EXPECT_NE(reference.find(seen), std::string::npos)
+            << seen << " in\n"
+            << reference;
 }
 
 TEST(ResultCacheTest, ConcurrentDistinctKeysDoNotCorruptShards)
