@@ -486,7 +486,6 @@ main(int argc, char **argv)
         config.degradeSweeps = true;
         config.degradePressure = 0.0; // degrade every sweep
         config.shedP99Ms = 25.0;      // latency sheds fire too
-        config.breakerThreshold = 1u << 30; // rates, not breakers
     }
     BwwallServer server(config);
 

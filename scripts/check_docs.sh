@@ -3,7 +3,7 @@
 #
 # Usage: scripts/check_docs.sh [BUILD_DIR]
 #
-# Five checks keep the docs from drifting away from the code:
+# Six checks keep the docs from drifting away from the code:
 #   1. every page under docs/ is linked from the README;
 #   2. every relative markdown link (and every docs/X.md mention)
 #      in README.md, DESIGN.md, and docs/ resolves to a real file;
@@ -15,7 +15,10 @@
 #   5. every cluster flag (the --peers family) documented in
 #      docs/SERVER.md appears in `bwwalld --help` specifically —
 #      check 3 would also accept a flag that only bwwall_router
-#      grew, which is exactly the drift this catches.
+#      grew, which is exactly the drift this catches;
+#   6. every metric name in a docs/OBSERVABILITY.md table appears as
+#      a string literal in src/ or examples/ (so a deleted counter
+#      cannot live on in the docs).
 set -euo pipefail
 
 build_dir="${1:-build}"
@@ -133,6 +136,22 @@ while IFS= read -r flag; do
     fi
 done < <(grep -o '\--\(peers\|self\|peer-[a-z-]*\)' \
     docs/SERVER.md | sort -u)
+
+# --- 6. documented metrics exist as string literals ------------------
+# Names assembled at run time from a prefix plus a fault point or a
+# route ("faults.fired." + point, "server.endpoint." + path).
+allow_runtime='^(faults\.fired|server\.endpoint)\.'
+while IFS= read -r metric; do
+    if echo "$metric" | grep -qE "$allow_runtime"; then
+        continue
+    fi
+    if ! grep -rqF -- "\"$metric\"" src examples; then
+        fail "metric $metric (docs/OBSERVABILITY.md) is not a" \
+            "string literal in src/ or examples/"
+    fi
+done < <(grep '^|' docs/OBSERVABILITY.md |
+    grep -o '`[a-z_][a-z0-9_]*\(\.[a-z0-9_]\+\)\+`' |
+    tr -d '`' | sort -u)
 
 if [ "$failures" -ne 0 ]; then
     echo "check_docs: $failures problem(s)" >&2

@@ -443,7 +443,7 @@ Cluster::fillFromPeer(const std::string &peer,
     if (response.status != 200 ||
         response.headers.count("x-bwwall-degraded") != 0 ||
         response.headers.count("x-bwwall-stale") != 0) {
-        // The owner refused (shed, breaker, deadline) or answered
+        // The owner refused (shed, deadline, error) or answered
         // in a form a direct solve would not produce; fall back to
         // a local compute rather than cache non-canonical bytes.
         count("cluster.peer_fill.rejected");

@@ -1,25 +1,22 @@
 /**
  * @file
- * Admission control, per-endpoint breakers, and degradation policy.
+ * Admission control and degradation policy.
  *
  * bwwalld's reactor already sheds whole connections past
  * --max-connections and parsed requests past --max-inflight; this
  * controller adds the request-level layer that makes shedding
  * *selective*: endpoints the route table (server/routes.hh) marks
  * Expensive (/v1/sweep, /v1/batch) give way before cheap ones
- * (/v1/traffic), a sliding-window p99 latency threshold sheds
- * before queues grow unbounded, and a per-endpoint circuit breaker
- * (util/breaker.hh — the same component that tracks cluster peer
- * health) stops hammering a handler that keeps failing.  Every shed
- * is a 503 with
- * a Retry-After hint; with degradation enabled, routes the table
- * marks degradable (/v1/sweep) are admitted under pressure at
- * reduced resolution instead of shed (the server marks them
- * X-BWWall-Degraded).
+ * (/v1/traffic) under inflight pressure, and a sliding-window p99
+ * latency threshold sheds before queues grow unbounded.  Every shed
+ * is a 503 with a Retry-After hint; with degradation enabled,
+ * routes the table marks degradable (/v1/sweep) are admitted under
+ * pressure at reduced resolution instead of shed (the server marks
+ * them X-BWWall-Degraded).
  *
- * Decisions are deterministic functions of the observed history —
- * no randomness — so a test can drive the breaker open and closed
- * with a scripted request sequence.
+ * Decisions are deterministic functions of the inflight count and
+ * the observed latencies — no randomness — so a test can drive
+ * every decision with a scripted sequence.
  */
 
 #ifndef BWWALL_SERVER_OVERLOAD_HH
@@ -27,16 +24,12 @@
 
 #include <chrono>
 #include <cstddef>
-#include <map>
 #include <mutex>
-#include <string>
 #include <vector>
-
-#include "util/breaker.hh"
 
 namespace bwwall {
 
-class MetricsRegistry;
+struct Route;
 
 /** Tuning of the request-level overload policy. */
 struct OverloadConfig
@@ -62,12 +55,6 @@ struct OverloadConfig
      */
     double latencyHorizonSeconds = 1.0;
 
-    /** Consecutive 5xx responses that open an endpoint's breaker. */
-    unsigned breakerThreshold = 5;
-
-    /** Seconds an open breaker sheds before probing again. */
-    double breakerCooldownSeconds = 1.0;
-
     /** The Retry-After hint attached to every shed response. */
     unsigned retryAfterSeconds = 1;
 
@@ -91,49 +78,29 @@ enum class AdmitDecision
 
 /**
  * The server consults admit() before dispatching each model query
- * and reports every completion through observe(); both are cheap
- * (one small critical section) relative to any model computation.
+ * and reports every served request's latency through observe();
+ * both are cheap relative to any model computation, and admit()
+ * takes the lock only when latency admission is on.
  */
 class OverloadController
 {
   public:
-    explicit OverloadController(OverloadConfig config,
-                                MetricsRegistry *metrics = nullptr);
+    explicit OverloadController(OverloadConfig config);
 
     /**
-     * True for routes in the Expensive cost class of the route
-     * table (/v1/sweep, /v1/batch).
+     * Decides one arriving request on @p route (its cost class and
+     * degradability) given the server's current inflight count.
      */
-    static bool isExpensive(const std::string &path);
+    AdmitDecision admit(const Route &route, unsigned inflight);
 
-    /**
-     * True for routes the table marks degradable (/v1/sweep): the
-     * ones degradeSweeps may admit at reduced resolution instead of
-     * shedding.
-     */
-    static bool isDegradable(const std::string &path);
-
-    /**
-     * Decides one arriving request given the server's current
-     * inflight connection count.
-     */
-    AdmitDecision admit(const std::string &path, unsigned inflight);
-
-    /**
-     * Records one completed request: latency feeds the p99 window,
-     * and server-side failures (5xx) feed the endpoint's breaker.
-     */
-    void observe(const std::string &path, double seconds,
-                 bool failure);
+    /** Records one served request's latency in the p99 window. */
+    void observe(double seconds);
 
     /** The Retry-After value for shed responses, in seconds. */
     unsigned retryAfterSeconds() const;
 
     /** The p99 over the sliding window (0 until it has samples). */
     double recentP99Seconds() const;
-
-    /** True while @p path's breaker sheds (tests/metrics). */
-    bool breakerOpen(const std::string &path) const;
 
   private:
     using Clock = std::chrono::steady_clock;
@@ -144,24 +111,12 @@ class OverloadController
         double seconds = 0.0;
     };
 
-    double p99Locked(Clock::time_point now) const;
-
-    /** The endpoint's breaker, created closed on first touch. */
-    Breaker &breakerFor(const std::string &path);
-
-    /** Counts a breaker transition into the server.* namespace. */
-    void countEvent(BreakerEvent event);
-
     OverloadConfig config_;
-    /** Per-endpoint breaker tuning derived from config_. */
-    BreakerConfig breakerConfig_;
-    MetricsRegistry *metrics_;
     mutable std::mutex mutex_;
     /** Ring buffer of recent request latencies. */
     std::vector<Sample> latencies_;
     std::size_t latencyNext_ = 0;
     std::size_t latencyCount_ = 0;
-    std::map<std::string, Breaker> breakers_;
 };
 
 } // namespace bwwall

@@ -274,14 +274,7 @@ HttpReactor::acceptLoop()
         if (config_.maxConnections != 0 &&
             connCount_.load(std::memory_order_relaxed) >=
                 config_.maxConnections) {
-            metrics_->addCounter("server.shed");
-            HttpResponse response = httpErrorResponse(
-                503, "server at capacity; retry later");
-            response.headers["Retry-After"] =
-                std::to_string(config_.retryAfterSeconds);
-            response.close = true;
-            const std::string wire =
-                serializeHttpResponse(response);
+            const std::string wire = capacityShed();
             [[maybe_unused]] ssize_t ignored = ::send(
                 fd, wire.data(), wire.size(), MSG_NOSIGNAL);
             ::close(fd);
@@ -415,8 +408,8 @@ HttpReactor::respond(Shard &shard, Conn *conn, std::string wire,
     return flushOutput(shard, conn);
 }
 
-void
-HttpReactor::shedRequest(Shard &shard, Conn *conn)
+std::string
+HttpReactor::capacityShed()
 {
     metrics_->addCounter("server.shed");
     HttpResponse response = httpErrorResponse(
@@ -424,7 +417,17 @@ HttpReactor::shedRequest(Shard &shard, Conn *conn)
     response.headers["Retry-After"] =
         std::to_string(config_.retryAfterSeconds);
     response.close = true;
-    respond(shard, conn, serializeHttpResponse(response), true);
+    return serializeHttpResponse(response);
+}
+
+void
+HttpReactor::rejectMalformed(Shard &shard, Conn *conn)
+{
+    metrics_->addCounter("server.malformed_requests");
+    HttpResponse malformed =
+        httpErrorResponse(400, "malformed HTTP request");
+    malformed.close = true;
+    respond(shard, conn, serializeHttpResponse(malformed), true);
 }
 
 bool
@@ -532,7 +535,7 @@ HttpReactor::pumpRequest(Shard &shard, Conn *conn, bool eof)
         if (config_.maxInflight != 0 &&
             inflight_.load(std::memory_order_relaxed) >=
                 config_.maxInflight) {
-            shedRequest(shard, conn);
+            respond(shard, conn, capacityShed(), true);
             return false;
         }
         WorkItem item;
@@ -559,7 +562,7 @@ HttpReactor::pumpRequest(Shard &shard, Conn *conn, bool eof)
             queued_.fetch_sub(1);
             conn->computing = false;
             shard.outstanding -= 1;
-            shedRequest(shard, conn);
+            respond(shard, conn, capacityShed(), true);
             return false;
         }
         wakeEventFd(computeSem_);
@@ -573,23 +576,12 @@ HttpReactor::pumpRequest(Shard &shard, Conn *conn, bool eof)
             closeConn(shard, conn); // clean close between requests
             return false;
         }
-        metrics_->addCounter("server.malformed_requests");
-        HttpResponse malformed = httpErrorResponse(
-            400, "malformed HTTP request");
-        malformed.close = true;
-        respond(shard, conn, serializeHttpResponse(malformed),
-                true);
+        rejectMalformed(shard, conn);
         return false;
       }
-      case HttpParseStatus::Malformed: {
-        metrics_->addCounter("server.malformed_requests");
-        HttpResponse malformed = httpErrorResponse(
-            400, "malformed HTTP request");
-        malformed.close = true;
-        respond(shard, conn, serializeHttpResponse(malformed),
-                true);
+      case HttpParseStatus::Malformed:
+        rejectMalformed(shard, conn);
         return false;
-      }
       case HttpParseStatus::TooLarge: {
         metrics_->addCounter("server.oversized_requests");
         HttpResponse too_large = httpErrorResponse(
@@ -665,12 +657,7 @@ HttpReactor::handleReadable(Shard &shard, Conn *conn)
             break;
         // Peer reset mid-request: same rendering as a read error
         // on the blocking server.
-        metrics_->addCounter("server.malformed_requests");
-        HttpResponse malformed = httpErrorResponse(
-            400, "malformed HTTP request");
-        malformed.close = true;
-        respond(shard, conn, serializeHttpResponse(malformed),
-                true);
+        rejectMalformed(shard, conn);
         return;
     }
     pumpRequests(shard, conn, eof);

@@ -37,9 +37,9 @@
  * at accept, and a request cap (maxInflight, counting parsed
  * requests queued or computing, and the one the shard is working
  * on) sheds at parse time, before the inline hook; both answer
- * 503 + Retry-After.  The request-level overload policy (breakers,
- * selective shedding, degraded sweeps) belongs to the owner, which
- * decides it once per request in the hook.
+ * 503 + Retry-After.  The request-level overload policy (selective
+ * shedding, p99 latency admission, degraded sweeps) belongs to the
+ * owner, which decides it once per request in the hook.
  *
  * Chaos parity: the fault points fire in the same places as on
  * the blocking server — server.accept after the connection counter,
@@ -315,7 +315,15 @@ class HttpReactor
     /** Flushes pending output; false when the connection was closed. */
     bool flushOutput(Shard &shard, Conn *conn);
 
-    void shedRequest(Shard &shard, Conn *conn);
+    /**
+     * The closing 503 "server at capacity" (counted in server.shed)
+     * for a connection or request past a reactor cap, serialized.
+     */
+    std::string capacityShed();
+
+    /** Counts and answers a closing 400 "malformed HTTP request". */
+    void rejectMalformed(Shard &shard, Conn *conn);
+
     void updateInterest(Shard &shard, Conn *conn);
     void closeConn(Shard &shard, Conn *conn);
 

@@ -101,14 +101,11 @@ BwwallServer::BwwallServer(ServerConfig config)
     OverloadConfig overload_config;
     overload_config.maxInflight = config_.maxInflight;
     overload_config.shedP99Seconds = config_.shedP99Ms / 1000.0;
-    overload_config.breakerThreshold = config_.breakerThreshold;
-    overload_config.breakerCooldownSeconds =
-        config_.breakerCooldownSeconds;
     overload_config.retryAfterSeconds = config_.retryAfterSeconds;
     overload_config.degradeSweeps = config_.degradeSweeps;
     overload_config.degradePressure = config_.degradePressure;
-    overload_ = std::make_unique<OverloadController>(
-        overload_config, &metrics_);
+    overload_ =
+        std::make_unique<OverloadController>(overload_config);
     IngestConfig ingest_config;
     ingest_config.maxSessions = config_.maxIngestSessions;
     ingest_config.maxSessionBytes = config_.maxSessionBytes;
@@ -298,22 +295,29 @@ BwwallServer::handleMetrics(const HttpRequest &request) const
     return response;
 }
 
+HttpResponse
+BwwallServer::shedResponse()
+{
+    metrics_.addCounter("server.shed");
+    HttpResponse shed = httpErrorResponseFor(
+        {ErrorCategory::Overload,
+         "shed by overload control; retry later"});
+    shed.headers["Retry-After"] =
+        std::to_string(overload_->retryAfterSeconds());
+    return shed;
+}
+
 bool
 BwwallServer::prepareModelQuery(const HttpRequest &request,
+                                const Route &route,
                                 unsigned inflight,
                                 Clock::time_point received,
                                 ModelQuery *query,
                                 HttpResponse *answer)
 {
-    query->decision = overload_->admit(request.path, inflight);
+    query->decision = overload_->admit(route, inflight);
     if (query->decision == AdmitDecision::Shed) {
-        metrics_.addCounter("server.shed");
-        HttpResponse shed = httpErrorResponseFor(
-            {ErrorCategory::Overload,
-             "shed by overload control; retry later"});
-        shed.headers["Retry-After"] =
-            std::to_string(overload_->retryAfterSeconds());
-        *answer = std::move(shed);
+        *answer = shedResponse();
         return true;
     }
 
@@ -339,8 +343,8 @@ BwwallServer::prepareModelQuery(const HttpRequest &request,
         return true;
     }
 
-    if (query->decision == AdmitDecision::AdmitDegraded &&
-        request.path == "/v1/sweep") {
+    if (query->decision == AdmitDecision::AdmitDegraded) {
+        // Only the degradable route (/v1/sweep) is admitted degraded.
         // The transformed body is also the cache key, so degraded
         // and full-resolution answers never collide in the cache.
         query->degraded = degradeSweepRequest(&query->body);
@@ -411,10 +415,10 @@ BwwallServer::answerInline(
             break;
           case RouteHandler::ModelQuery: {
             auto query = std::make_unique<ModelQuery>();
-            if (prepareModelQuery(request, inflight, received,
-                                  query.get(), response)) {
+            if (prepareModelQuery(request, *route, inflight,
+                                  received, query.get(), response)) {
                 // Sheds are not observed: only served requests feed
-                // the latency window and the breakers.
+                // the latency window.
                 observed = query->decision != AdmitDecision::Shed;
                 break;
             }
@@ -601,20 +605,12 @@ BwwallServer::handleIngestSession(const HttpRequest &request,
     try {
         if (request.method == "DELETE")
             return ingest_->finalize(id);
-        // GET/HEAD snapshots go through overload admission (keyed
-        // by the route pattern, not the per-id path, to bound the
-        // breaker map); degraded service drops curve resolution.
+        // GET/HEAD snapshots go through overload admission;
+        // degraded service drops curve resolution.
         const AdmitDecision decision =
-            overload_->admit(route.path, inflight);
-        if (decision == AdmitDecision::Shed) {
-            metrics_.addCounter("server.shed");
-            HttpResponse shed = httpErrorResponseFor(
-                {ErrorCategory::Overload,
-                 "shed by overload control; retry later"});
-            shed.headers["Retry-After"] = std::to_string(
-                overload_->retryAfterSeconds());
-            return shed;
-        }
+            overload_->admit(route, inflight);
+        if (decision == AdmitDecision::Shed)
+            return shedResponse();
         const bool degraded =
             decision == AdmitDecision::AdmitDegraded;
         const auto received = Clock::now();
@@ -624,8 +620,7 @@ BwwallServer::handleIngestSession(const HttpRequest &request,
             response.headers["X-BWWall-Degraded"] =
                 std::string("1");
         }
-        overload_->observe(route.path, secondsSince(received),
-                           response.status >= 500);
+        overload_->observe(secondsSince(received));
         return response;
     } catch (const Errored &e) {
         metrics_.addCounter("server.handler_errors");
@@ -683,8 +678,7 @@ BwwallServer::recordRequest(const HttpRequest &request,
     requestCount_.fetch_add(1, std::memory_order_relaxed);
     const double elapsed = secondsSince(received);
     if (observed)
-        overload_->observe(request.path, elapsed,
-                           response.status >= 500);
+        overload_->observe(elapsed);
     // Pattern routes aggregate under the route's path, and every
     // unmatched path under one "unknown" key, so neither per-id
     // URLs nor probes of random paths can grow the registry

@@ -28,9 +28,8 @@
  *    immediate 503 (with a Retry-After hint) and close;
  *  - selective shedding: an OverloadController sheds expensive
  *    endpoints (/v1/sweep, /v1/batch) first under inflight or
- *    p99-latency pressure, with per-endpoint circuit breakers, and
- *    can serve sweeps at reduced resolution (X-BWWall-Degraded)
- *    instead;
+ *    p99-latency pressure, and can serve sweeps at reduced
+ *    resolution (X-BWWall-Degraded) instead;
  *  - stale-while-revalidate: expired cache entries are served
  *    (X-BWWall-Stale) while one request recomputes them;
  *  - error taxonomy: handler failures map through bwwall::Error
@@ -144,12 +143,6 @@ struct ServerConfig
      * are degraded (with degradeSweeps; 0 degrades every sweep).
      */
     double degradePressure = 0.5;
-
-    /** Consecutive 5xx that open an endpoint's circuit breaker. */
-    unsigned breakerThreshold = 5;
-
-    /** Seconds an open breaker sheds before probing again. */
-    double breakerCooldownSeconds = 1.0;
 
     /** The Retry-After hint on shed responses, seconds. */
     unsigned retryAfterSeconds = 1;
@@ -294,15 +287,15 @@ class BwwallServer
                       std::unique_ptr<HttpReactor::Prepared> *prepared);
 
     /**
-     * Admits, parses, keys, and probes one model query: the single
-     * admit() call (a second could spend a breaker's half-open
-     * probe), the single parse, and the single cache-key build.
-     * Returns true with *answer set when no compute is needed: a
-     * shed, a malformed or non-object body, or a fresh admitted hit
-     * (a 504 once past the deadline).
+     * Admits, parses, keys, and probes one model query on its
+     * already-matched @p route: the single admit() call (each costs
+     * a p99 sort under --shed-p99-ms), the single parse, and the
+     * single cache-key build.  Returns true with *answer set when no
+     * compute is needed: a shed, a malformed or non-object body, or
+     * a fresh admitted hit (a 504 once past the deadline).
      */
     bool prepareModelQuery(const HttpRequest &request,
-                           unsigned inflight,
+                           const Route &route, unsigned inflight,
                            Clock::time_point received,
                            ModelQuery *query, HttpResponse *answer);
 
@@ -326,6 +319,9 @@ class BwwallServer
 
     /** The 504 for an answer that came after the caller's deadline. */
     HttpResponse deadlineExceeded();
+
+    /** A shed's 503 + Retry-After, counted in server.shed. */
+    HttpResponse shedResponse();
 
     /**
      * The bookkeeping every request passes through once, on

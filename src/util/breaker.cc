@@ -9,9 +9,6 @@ Breaker::Breaker(BreakerConfig config)
 {
     if (config_.failureThreshold == 0)
         config_.failureThreshold = 1;
-    if (config_.failureRateThreshold > 0.0)
-        window_.resize(
-            std::max<std::size_t>(config_.failureWindow, 1), 0);
 }
 
 const char *
@@ -26,31 +23,6 @@ breakerStateName(BreakerState state)
         return "half_open";
     }
     return "unknown";
-}
-
-void
-Breaker::pushOutcome(bool failure)
-{
-    if (window_.empty())
-        return;
-    if (windowCount_ == window_.size() &&
-        window_[windowNext_] != 0)
-        --windowFailures_;
-    window_[windowNext_] = failure ? 1 : 0;
-    if (failure)
-        ++windowFailures_;
-    windowNext_ = (windowNext_ + 1) % window_.size();
-    windowCount_ = std::min(windowCount_ + 1, window_.size());
-}
-
-bool
-Breaker::rateTripped() const
-{
-    if (window_.empty() || windowCount_ < window_.size())
-        return false;
-    return static_cast<double>(windowFailures_) >=
-           config_.failureRateThreshold *
-               static_cast<double>(window_.size());
 }
 
 double
@@ -107,7 +79,6 @@ Breaker::allow(Clock::time_point now)
 BreakerEvent
 Breaker::recordSuccess(Clock::time_point)
 {
-    pushOutcome(false);
     consecutiveFailures_ = 0;
     if (state_ == BreakerState::Closed)
         return BreakerEvent::None;
@@ -119,7 +90,6 @@ Breaker::recordSuccess(Clock::time_point)
 BreakerEvent
 Breaker::recordFailure(Clock::time_point now)
 {
-    pushOutcome(true);
     ++consecutiveFailures_;
     switch (state_) {
       case BreakerState::HalfOpen:
@@ -127,24 +97,13 @@ Breaker::recordFailure(Clock::time_point now)
         ++reopenCount_;
         return openNow(now, BreakerEvent::Reopened);
       case BreakerState::Closed:
-        if (consecutiveFailures_ >= config_.failureThreshold ||
-            rateTripped())
+        if (consecutiveFailures_ >= config_.failureThreshold)
             return openNow(now, BreakerEvent::Opened);
         return BreakerEvent::None;
       case BreakerState::Open:
         return BreakerEvent::None;
     }
     return BreakerEvent::None;
-}
-
-BreakerEvent
-Breaker::observe(Clock::time_point now, double seconds,
-                 bool failure)
-{
-    const bool slow = config_.latencyThresholdSeconds > 0.0 &&
-                      seconds > config_.latencyThresholdSeconds;
-    return failure || slow ? recordFailure(now)
-                           : recordSuccess(now);
 }
 
 BreakerEvent
@@ -170,10 +129,6 @@ Breaker::trip(Clock::time_point now)
 BreakerEvent
 Breaker::reset(Clock::time_point now)
 {
-    std::fill(window_.begin(), window_.end(), 0);
-    windowNext_ = 0;
-    windowCount_ = 0;
-    windowFailures_ = 0;
     return recordSuccess(now);
 }
 

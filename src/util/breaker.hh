@@ -2,15 +2,13 @@
  * @file
  * A reusable circuit breaker: closed / open / half-open.
  *
- * Extracted from the per-endpoint breaker that grew inside
- * server/overload.cc so the same lifecycle can guard any repeatedly
- * failing dependency — an HTTP endpoint's handler, a cluster peer,
- * a downstream service.  The state machine is the classic one:
+ * Guards a repeatedly failing dependency; its one holder is the
+ * cluster's peer health (server/cluster.hh), one breaker per peer.
+ * The state machine is the classic one:
  *
- *   Closed    every call allowed; consecutive failures (and,
- *             optionally, a windowed failure rate or
- *             slower-than-threshold latencies) count against the
- *             breaker, and reaching the threshold opens it.
+ *   Closed    every call allowed; consecutive failures count
+ *             against the breaker, and reaching the threshold
+ *             opens it.
  *   Open      calls denied while the cooldown runs.  The cooldown
  *             is capped-jitter exponential: each re-open stretches
  *             it by cooldownGrowth up to maxCooldownSeconds, with a
@@ -26,19 +24,16 @@
  * mutator returns the transition it caused so callers can count
  * opened/reopened/closed events in their own metric namespace.
  *
- * Deliberately not thread-safe: every current holder (the overload
- * controller's breaker map, the cluster's peer-health map) already
- * serializes access under its own mutex, and time is passed in so
- * tests can drive the lifecycle without sleeping.
+ * Deliberately not thread-safe: the cluster's peer-health map
+ * already serializes access under its own mutex, and time is passed
+ * in so tests can drive the lifecycle without sleeping.
  */
 
 #ifndef BWWALL_UTIL_BREAKER_HH
 #define BWWALL_UTIL_BREAKER_HH
 
 #include <chrono>
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace bwwall {
 
@@ -47,23 +42,6 @@ struct BreakerConfig
 {
     /** Consecutive failures that open the breaker. */
     unsigned failureThreshold = 5;
-
-    /**
-     * Also open once the failure rate over the last failureWindow
-     * outcomes reaches this fraction (0 disables rate tracking).
-     * Catches a dependency that fails often but never consecutively.
-     */
-    double failureRateThreshold = 0.0;
-
-    /** Outcomes in the failure-rate window. */
-    std::size_t failureWindow = 16;
-
-    /**
-     * Observations slower than this many seconds count as failures
-     * in observe() even when the call nominally succeeded (0
-     * disables latency observation).
-     */
-    double latencyThresholdSeconds = 0.0;
 
     /** Base cooldown before the first half-open probe, seconds. */
     double cooldownSeconds = 1.0;
@@ -132,14 +110,6 @@ class Breaker
     BreakerEvent recordFailure(Clock::time_point now);
 
     /**
-     * recordSuccess/recordFailure with latency classification: a
-     * nominally successful call slower than latencyThresholdSeconds
-     * is treated as a failure.
-     */
-    BreakerEvent observe(Clock::time_point now, double seconds,
-                         bool failure);
-
-    /**
      * Forces the breaker open — an out-of-band signal (a failed
      * health probe) established the dependency is down.  Restarts
      * the cooldown when already open.
@@ -147,8 +117,8 @@ class Breaker
     BreakerEvent trip(Clock::time_point now);
 
     /**
-     * Forces the breaker closed and forgets all failure history —
-     * an out-of-band signal established the dependency is healthy.
+     * Forces the breaker closed and clears the failure count — an
+     * out-of-band signal established the dependency is healthy.
      */
     BreakerEvent reset(Clock::time_point now);
 
@@ -165,8 +135,6 @@ class Breaker
     const BreakerConfig &config() const { return config_; }
 
   private:
-    void pushOutcome(bool failure);
-    bool rateTripped() const;
     BreakerEvent openNow(Clock::time_point now,
                          BreakerEvent event);
     double nextCooldown();
@@ -179,12 +147,6 @@ class Breaker
     Clock::time_point openedAt_{};
     double cooldown_ = 0.0;
     std::uint64_t jitterState_;
-
-    /** Ring of recent outcomes (true = failure) for the rate. */
-    std::vector<char> window_;
-    std::size_t windowNext_ = 0;
-    std::size_t windowCount_ = 0;
-    std::size_t windowFailures_ = 0;
 };
 
 /** Human-readable state name ("closed" / "open" / "half_open"). */

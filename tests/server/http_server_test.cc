@@ -677,13 +677,14 @@ TEST_F(HttpServerTest, ClientDeadlineHeaderYieldsA504)
     EXPECT_EQ(retry.status, 200);
 }
 
-TEST(HttpServerOverloadTest, BreakerShedsSweepsButNotTraffic)
+TEST(HttpServerOverloadTest, PressedSweepShedsWhileTrafficIsServed)
 {
     ServerConfig config;
     config.port = 0;
     config.threads = 2;
-    config.breakerThreshold = 2;
-    config.breakerCooldownSeconds = 60.0;
+    // A request counts itself in flight, so at a cap of one every
+    // request arrives at full pressure, past the expensive mark.
+    config.maxInflight = 1;
     BwwallServer server(config);
     server.start();
     {
@@ -691,33 +692,16 @@ TEST(HttpServerOverloadTest, BreakerShedsSweepsButNotTraffic)
         HttpClientResponse response;
         std::string error;
 
-        // Two injected compute faults on /v1/sweep open its breaker.
-        ScopedFaultInjection faults("cache.compute=sched:1,2",
-                                    &server.metrics());
-        const std::string sweep =
-            "{\"kind\":\"scaling\",\"generations\":2}";
-        for (int i = 0; i < 2; ++i) {
-            ASSERT_TRUE(client.perform(
-                {.method = "POST", .target = "/v1/sweep", .body = sweep},
-                &response, &error))
-                << error;
-            EXPECT_EQ(response.status, 500);
-        }
-        EXPECT_TRUE(server.overload().breakerOpen("/v1/sweep"));
-        EXPECT_EQ(server.metrics().counter(
-                      "server.breaker_opened"),
-                  1u);
-
-        // The third sweep sheds with a Retry-After hint...
-        ASSERT_TRUE(
-            client.perform(
-                {.method = "POST", .target = "/v1/sweep", .body = sweep},
-                &response, &error))
+        // The sweep sheds with a Retry-After hint...
+        ASSERT_TRUE(client.perform(
+            {.method = "POST", .target = "/v1/sweep",
+             .body = "{\"kind\":\"scaling\",\"generations\":2}"},
+            &response, &error))
             << error;
         EXPECT_EQ(response.status, 503);
         EXPECT_EQ(errorCategoryOf(response.body), "overload");
         EXPECT_EQ(response.headers.at("retry-after"), "1");
-        EXPECT_GE(server.metrics().counter("server.shed"), 1u);
+        EXPECT_EQ(server.metrics().counter("server.shed"), 1u);
 
         // ...while the cheap endpoint keeps serving.
         ASSERT_TRUE(client.perform(
@@ -726,54 +710,46 @@ TEST(HttpServerOverloadTest, BreakerShedsSweepsButNotTraffic)
             &response, &error))
             << error;
         EXPECT_EQ(response.status, 200);
+        EXPECT_EQ(server.metrics().counter("server.shed"), 1u);
     }
     server.stop();
 }
 
-TEST(HttpServerOverloadTest, RetryRidesOutABreakerShed)
+TEST(HttpServerOverloadTest, RetryRidesOutALatencyShed)
 {
     ServerConfig config;
     config.port = 0;
     config.threads = 2;
-    config.breakerThreshold = 1;
-    config.breakerCooldownSeconds = 0.05;
+    config.shedP99Ms = 10.0;
     BwwallServer server(config);
     server.start();
     {
         HttpClient client("127.0.0.1", server.port());
         HttpClientResponse response;
         std::string error;
-        const std::string sweep =
-            "{\"kind\":\"scaling\",\"generations\":2}";
 
-        // One injected fault opens the breaker immediately.
-        ScopedFaultInjection faults("cache.compute=sched:1",
-                                    &server.metrics());
-        ASSERT_TRUE(
-            client.perform(
-                {.method = "POST", .target = "/v1/sweep", .body = sweep},
-                &response, &error))
-            << error;
-        ASSERT_EQ(response.status, 500);
+        // Slow samples far past twice the target: every model query
+        // sheds until they age past the one-second horizon.
+        for (int i = 0; i < 8; ++i)
+            server.overload().observe(0.100);
 
-        // The retrying client absorbs the shed: its backoff outlasts
-        // the cooldown, the half-open probe serves, and the caller
-        // never sees the 503.
+        // The retrying client absorbs the shed: it waits out the
+        // Retry-After hint (one second, the horizon), the samples
+        // age out, and the caller never sees the 503.
         HttpRetryPolicy policy;
-        policy.maxAttempts = 5;
-        policy.initialBackoffMs = 80.0;
-        policy.maxBackoffMs = 120.0;
+        policy.maxAttempts = 3;
+        policy.initialBackoffMs = 100.0;
+        policy.maxBackoffMs = 1500.0;
         policy.retryPosts = true;
         client.setRetryPolicy(policy);
         ASSERT_TRUE(client.perform(
-            {.method = "POST", .target = "/v1/sweep", .body = sweep},
+            {.method = "POST", .target = "/v1/sweep",
+             .body = "{\"kind\":\"scaling\",\"generations\":2}"},
             &response, &error))
             << error;
         EXPECT_EQ(response.status, 200);
         EXPECT_GE(client.retriesUsed(), 1u);
-        EXPECT_EQ(server.metrics().counter(
-                      "server.breaker_closed"),
-                  1u);
+        EXPECT_GE(server.metrics().counter("server.shed"), 1u);
     }
     server.stop();
 }
@@ -1139,8 +1115,10 @@ TEST_F(InlineHitTest, PressedSweepIsDegradedNeverAFullResolutionHit)
 TEST_F(InlineHitTest, NoComputeRequestsAnswerWhileEveryComputeThreadIsBlocked)
 {
     ServerConfig config;
-    config.trace = true;                  // standby: opt-in only
-    config.breakerCooldownSeconds = 60.0; // an open breaker stays open
+    config.trace = true; // standby: opt-in only
+    // Both parked requests and the probe itself are in flight, so
+    // pressure is 3/4: past the expensive mark, and under the cap.
+    config.maxInflight = 4;
     start(config);
 
     // Hold the compute of kSolve's key open, then park both compute
@@ -1192,10 +1170,6 @@ TEST_F(InlineHitTest, NoComputeRequestsAnswerWhileEveryComputeThreadIsBlocked)
         while (prepared() < 2 && std::chrono::steady_clock::now() < give_up)
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
         ASSERT_EQ(prepared(), 2u);
-
-        // Open the sweep breaker so the next sweep sheds.
-        for (unsigned i = 0; i < config.breakerThreshold; ++i)
-            server_->overload().observe("/v1/sweep", 0.0, true);
 
         struct Probe
         {

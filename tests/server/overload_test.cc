@@ -1,43 +1,42 @@
 /**
  * @file
- * Tests for the request-level overload policy: pressure-based
- * degradation and shedding of expensive endpoints, p99-latency
- * admission (including the everything-sheds threshold and the
- * sample horizon that lets a full shed recover, and no sooner), and
- * the per-endpoint breaker lifecycle (open -> half-open probe ->
- * close or re-open).
+ * Tests for the request-level overload policy: the route table's
+ * cost classes, pressure-based degradation and shedding of
+ * expensive endpoints, and p99-latency admission (including the
+ * everything-sheds threshold and the sample horizon that lets a
+ * full shed recover, and no sooner).
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <string>
 #include <thread>
 
 #include "server/overload.hh"
-#include "util/metrics.hh"
+#include "server/routes.hh"
 
 namespace bwwall {
 namespace {
 
-constexpr const char *kSweep = "/v1/sweep";
-constexpr const char *kTraffic = "/v1/traffic";
+const Route &kSweep = *findRoute("/v1/sweep");
+const Route &kBatch = *findRoute("/v1/batch");
+const Route &kTraffic = *findRoute("/v1/traffic");
 
 TEST(OverloadTest, SweepAndBatchAreTheExpensiveClass)
 {
-    EXPECT_TRUE(OverloadController::isExpensive(kSweep));
-    EXPECT_TRUE(OverloadController::isExpensive("/v1/batch"));
-    EXPECT_FALSE(OverloadController::isExpensive(kTraffic));
-    EXPECT_FALSE(OverloadController::isExpensive("/v1/solve"));
+    EXPECT_EQ(kSweep.cost, RouteCost::Expensive);
+    EXPECT_EQ(kBatch.cost, RouteCost::Expensive);
+    EXPECT_EQ(kTraffic.cost, RouteCost::Cheap);
+    EXPECT_EQ(findRoute("/v1/solve")->cost, RouteCost::Cheap);
 }
 
 TEST(OverloadTest, OnlySweepsAreDegradable)
 {
-    EXPECT_TRUE(OverloadController::isDegradable(kSweep));
+    EXPECT_TRUE(kSweep.degradable);
     // Degrading a batch would rewrite its member requests, so the
     // batch endpoint sheds under pressure instead.
-    EXPECT_FALSE(OverloadController::isDegradable("/v1/batch"));
-    EXPECT_FALSE(OverloadController::isDegradable(kTraffic));
+    EXPECT_FALSE(kBatch.degradable);
+    EXPECT_FALSE(kTraffic.degradable);
 }
 
 TEST(OverloadTest, PressedBatchesShedEvenWithDegradationOn)
@@ -51,9 +50,9 @@ TEST(OverloadTest, PressedBatchesShedEvenWithDegradationOn)
     // degradable) shed at the expensive-pressure mark instead.
     EXPECT_EQ(control.admit(kSweep, 80),
               AdmitDecision::AdmitDegraded);
-    EXPECT_EQ(control.admit("/v1/batch", 80),
+    EXPECT_EQ(control.admit(kBatch, 80),
               AdmitDecision::Shed);
-    EXPECT_EQ(control.admit("/v1/batch", 50),
+    EXPECT_EQ(control.admit(kBatch, 50),
               AdmitDecision::Admit);
 }
 
@@ -100,14 +99,14 @@ TEST(OverloadTest, LatencyPressureShedsExpensiveThenEverything)
 
     // p99 in (1x, 2x]: expensive sheds, cheap still flows.
     for (int i = 0; i < 32; ++i)
-        control.observe(kTraffic, 0.015, false);
+        control.observe(0.015);
     EXPECT_GT(control.recentP99Seconds(), 0.010);
     EXPECT_EQ(control.admit(kSweep, 0), AdmitDecision::Shed);
     EXPECT_EQ(control.admit(kTraffic, 0), AdmitDecision::Admit);
 
     // Far past the target: everything sheds.
     for (int i = 0; i < 32; ++i)
-        control.observe(kTraffic, 0.050, false);
+        control.observe(0.050);
     EXPECT_EQ(control.admit(kTraffic, 0), AdmitDecision::Shed);
 }
 
@@ -118,7 +117,7 @@ TEST(OverloadTest, LatencyShedRecoversAsSamplesAgeOut)
     config.latencyHorizonSeconds = 0.05;
     OverloadController control(config);
     for (int i = 0; i < 32; ++i)
-        control.observe(kTraffic, 0.100, false);
+        control.observe(0.100);
     EXPECT_EQ(control.admit(kTraffic, 0), AdmitDecision::Shed);
     // A full shed feeds no new samples; the stale ones must expire
     // or the server would never serve again.
@@ -138,12 +137,12 @@ TEST(OverloadTest, FullShedHoldsUntilTheNewestSlowSampleAges)
     config.latencyHorizonSeconds = 0.2;
     OverloadController control(config);
     using Clock = std::chrono::steady_clock;
-    control.observe(kTraffic, 0.100, false);
+    control.observe(0.100);
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     // Taken before the newest sample's own stamp, so the shed must
     // last at least a horizon past it.
     const Clock::time_point newest = Clock::now();
-    control.observe(kTraffic, 0.100, false);
+    control.observe(0.100);
 
     std::size_t sheds = 0;
     Clock::time_point admitted{};
@@ -173,80 +172,8 @@ TEST(OverloadTest, ZeroThresholdDisablesLatencyAdmission)
 {
     OverloadController control(OverloadConfig{});
     for (int i = 0; i < 32; ++i)
-        control.observe(kTraffic, 10.0, false);
+        control.observe(10.0);
     EXPECT_EQ(control.admit(kSweep, 0), AdmitDecision::Admit);
-}
-
-TEST(OverloadTest, BreakerOpensPerEndpointAfterThreshold)
-{
-    OverloadConfig config;
-    config.breakerThreshold = 2;
-    config.breakerCooldownSeconds = 60.0;
-    MetricsRegistry metrics;
-    OverloadController control(config, &metrics);
-
-    control.observe(kSweep, 0.001, true);
-    EXPECT_FALSE(control.breakerOpen(kSweep));
-    control.observe(kSweep, 0.001, true);
-    EXPECT_TRUE(control.breakerOpen(kSweep));
-    EXPECT_EQ(metrics.counter("server.breaker_opened"), 1u);
-
-    // The broken endpoint sheds; its neighbour is untouched.
-    EXPECT_EQ(control.admit(kSweep, 0), AdmitDecision::Shed);
-    EXPECT_EQ(control.admit(kTraffic, 0), AdmitDecision::Admit);
-    EXPECT_FALSE(control.breakerOpen(kTraffic));
-}
-
-TEST(OverloadTest, SuccessBeforeThresholdResetsTheCount)
-{
-    OverloadConfig config;
-    config.breakerThreshold = 2;
-    OverloadController control(config);
-    control.observe(kSweep, 0.001, true);
-    control.observe(kSweep, 0.001, false);
-    control.observe(kSweep, 0.001, true);
-    EXPECT_FALSE(control.breakerOpen(kSweep));
-}
-
-TEST(OverloadTest, HalfOpenProbeClosesOnSuccess)
-{
-    OverloadConfig config;
-    config.breakerThreshold = 1;
-    config.breakerCooldownSeconds = 0.02;
-    MetricsRegistry metrics;
-    OverloadController control(config, &metrics);
-
-    control.observe(kSweep, 0.001, true);
-    ASSERT_TRUE(control.breakerOpen(kSweep));
-    EXPECT_EQ(control.admit(kSweep, 0), AdmitDecision::Shed);
-
-    std::this_thread::sleep_for(std::chrono::milliseconds(40));
-    // After the cooldown exactly one probe goes through...
-    EXPECT_EQ(control.admit(kSweep, 0), AdmitDecision::Admit);
-    EXPECT_EQ(control.admit(kSweep, 0), AdmitDecision::Shed);
-    // ...and its success closes the breaker for good.
-    control.observe(kSweep, 0.001, false);
-    EXPECT_FALSE(control.breakerOpen(kSweep));
-    EXPECT_EQ(control.admit(kSweep, 0), AdmitDecision::Admit);
-    EXPECT_EQ(metrics.counter("server.breaker_closed"), 1u);
-}
-
-TEST(OverloadTest, HalfOpenProbeReopensOnFailure)
-{
-    OverloadConfig config;
-    config.breakerThreshold = 1;
-    config.breakerCooldownSeconds = 0.02;
-    MetricsRegistry metrics;
-    OverloadController control(config, &metrics);
-
-    control.observe(kSweep, 0.001, true);
-    std::this_thread::sleep_for(std::chrono::milliseconds(40));
-    EXPECT_EQ(control.admit(kSweep, 0), AdmitDecision::Admit);
-    control.observe(kSweep, 0.001, true);
-    EXPECT_TRUE(control.breakerOpen(kSweep));
-    EXPECT_EQ(metrics.counter("server.breaker_reopened"), 1u);
-    // The fresh cooldown sheds again until it elapses.
-    EXPECT_EQ(control.admit(kSweep, 0), AdmitDecision::Shed);
 }
 
 TEST(OverloadTest, RetryAfterHintComesFromConfig)

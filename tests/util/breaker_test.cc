@@ -136,38 +136,6 @@ TEST(BreakerTest, JitterStretchesWithinBoundDeterministically)
     EXPECT_DOUBLE_EQ(a.cooldownSeconds(), b.cooldownSeconds());
 }
 
-TEST(BreakerTest, FailureRateOpensWithoutConsecutiveRun)
-{
-    BreakerConfig config = plainConfig();
-    config.failureThreshold = 100; // never trips consecutively
-    config.failureRateThreshold = 0.5;
-    config.failureWindow = 8;
-    Breaker breaker(config);
-    // Alternate to keep the consecutive count at 1; the rate only
-    // judges a full window, so nothing trips while it fills.
-    for (int i = 0; i < 8; ++i) {
-        if (i % 2 == 0)
-            breaker.recordFailure(at(i * 0.1));
-        else
-            breaker.recordSuccess(at(i * 0.1));
-    }
-    EXPECT_EQ(breaker.state(), BreakerState::Closed);
-    // One more failure holds the full window at one half failed.
-    EXPECT_EQ(breaker.recordFailure(at(1.0)),
-              BreakerEvent::Opened);
-    EXPECT_EQ(breaker.state(), BreakerState::Open);
-}
-
-TEST(BreakerTest, SlowSuccessesCountAsFailuresViaObserve)
-{
-    BreakerConfig config = plainConfig();
-    config.latencyThresholdSeconds = 0.5;
-    Breaker breaker(config);
-    for (int i = 0; i < 3; ++i)
-        breaker.observe(at(i * 0.1), 0.9, false);
-    EXPECT_EQ(breaker.state(), BreakerState::Open);
-}
-
 TEST(BreakerTest, TripForcesOpenAndResetForcesClosed)
 {
     Breaker breaker(plainConfig());
@@ -182,22 +150,6 @@ TEST(BreakerTest, TripForcesOpenAndResetForcesClosed)
     EXPECT_EQ(breaker.state(), BreakerState::Closed);
     EXPECT_TRUE(breaker.allow(at(1.4)));
     EXPECT_EQ(breaker.consecutiveFailures(), 0u);
-}
-
-TEST(BreakerTest, ResetClearsTheFailureRateWindow)
-{
-    BreakerConfig config = plainConfig();
-    config.failureRateThreshold = 0.5;
-    config.failureWindow = 4;
-    Breaker breaker(config);
-    breaker.recordFailure(at(0.0));
-    breaker.recordFailure(at(0.1));
-    breaker.reset(at(0.2));
-    // A forgotten window means one fresh failure cannot trip the
-    // rate using stale history.
-    EXPECT_EQ(breaker.recordFailure(at(0.3)),
-              BreakerEvent::None);
-    EXPECT_EQ(breaker.state(), BreakerState::Closed);
 }
 
 TEST(BreakerTest, StateNames)
