@@ -485,7 +485,6 @@ main(int argc, char **argv)
         config.cacheStaleSeconds = 10.0;
         config.degradeSweeps = true;
         config.degradePressure = 0.0; // degrade every sweep
-        config.shedP99Ms = 25.0;      // latency sheds fire too
     }
     BwwallServer server(config);
 

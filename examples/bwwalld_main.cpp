@@ -46,7 +46,6 @@ main(int argc, char **argv)
     std::uint64_t max_sessions = 64;
     std::uint64_t max_session_bytes = 64ull << 20;
     double ingest_ttl_seconds = 300.0;
-    double shed_p99_ms = 0.0;
     bool degrade = false;
     std::string peers;
     std::string self;
@@ -106,9 +105,6 @@ main(int argc, char **argv)
                      "S",
                      "idle seconds before an ingest session is "
                      "swept (0 = never)");
-    parser.addOption("--shed-p99-ms", &shed_p99_ms, "MS",
-                     "shed sweeps once the recent p99 latency "
-                     "exceeds this (0 = off)");
     parser.addFlag("--degrade", &degrade,
                    "serve pressed sweeps at reduced resolution "
                    "instead of shedding them");
@@ -183,7 +179,6 @@ main(int argc, char **argv)
     config.maxSessionBytes =
         static_cast<std::size_t>(max_session_bytes);
     config.ingestTtlSeconds = ingest_ttl_seconds;
-    config.shedP99Ms = shed_p99_ms;
     config.degradeSweeps = degrade;
     if (!peers.empty()) {
         std::string peer_error;

@@ -52,7 +52,6 @@
 #include "server/http_client.hh"
 #include "server/json.hh"
 #include "server/model_service.hh"
-#include "server/overload.hh"
 #include "server/reactor.hh"
 #include "server/result_cache.hh"
 #include "server/routes.hh"

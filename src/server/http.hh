@@ -194,6 +194,13 @@ std::string serializeHttpResponse(const HttpResponse &response);
 /** Reason phrase for the handful of statuses the server emits. */
 const char *httpStatusText(int status);
 
+/**
+ * The Retry-After value, in seconds, on every 503 the server sheds
+ * with: connection and request caps, admission sheds, and the
+ * ingest session cap.
+ */
+inline constexpr const char *kRetryAfterSeconds = "1";
+
 /** A canned {"error": message} JSON response. */
 HttpResponse httpErrorResponse(int status,
                                const std::string &message);

@@ -291,8 +291,7 @@ IngestSessionManager::create(const JsonValue &request)
                  "ingest session limit reached (" +
                      std::to_string(config_.maxSessions) +
                      "); finalize or retry later"});
-            full.headers["Retry-After"] =
-                std::to_string(config_.retryAfterSeconds);
+            full.headers["Retry-After"] = std::string(kRetryAfterSeconds);
             return full;
         }
         id = "ingest-" + std::to_string(nextId_++);

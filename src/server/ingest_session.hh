@@ -63,9 +63,6 @@ struct IngestConfig
 
     /** Idle seconds before a session is swept (0 = never). */
     double ttlSeconds = 300.0;
-
-    /** The Retry-After hint on session-count 503s, seconds. */
-    unsigned retryAfterSeconds = 1;
 };
 
 /**

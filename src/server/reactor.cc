@@ -414,8 +414,7 @@ HttpReactor::capacityShed()
     metrics_->addCounter("server.shed");
     HttpResponse response = httpErrorResponse(
         503, "server at capacity; retry later");
-    response.headers["Retry-After"] =
-        std::to_string(config_.retryAfterSeconds);
+    response.headers["Retry-After"] = std::string(kRetryAfterSeconds);
     response.close = true;
     return serializeHttpResponse(response);
 }

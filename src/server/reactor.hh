@@ -37,9 +37,9 @@
  * at accept, and a request cap (maxInflight, counting parsed
  * requests queued or computing, and the one the shard is working
  * on) sheds at parse time, before the inline hook; both answer
- * 503 + Retry-After.  The request-level overload policy (selective
- * shedding, p99 latency admission, degraded sweeps) belongs to the
- * owner, which decides it once per request in the hook.
+ * 503 + Retry-After.  The request-level policy (expensive-first
+ * shedding and degraded sweeps) belongs to the owner, which decides
+ * it once per request in the hook.
  *
  * Chaos parity: the fault points fire in the same places as on
  * the blocking server — server.accept after the connection counter,
@@ -93,9 +93,6 @@ struct ReactorConfig
     unsigned idleTimeoutMs = 5000;
 
     std::size_t maxBodyBytes = 1u << 20;
-
-    /** The Retry-After hint on shed responses, seconds. */
-    unsigned retryAfterSeconds = 1;
 };
 
 /**

@@ -2,9 +2,14 @@
 
 #include <cstring>
 
+#include "server/server.hh"
+
 namespace bwwall {
 
 namespace {
+
+/** Inflight fraction beyond which expensive work is pressed. */
+constexpr double kExpensivePressure = 0.75;
 
 const Route kRoutes[] = {
     {"/healthz", "GET", true, RouteHandler::Health,
@@ -109,6 +114,28 @@ routePathParam(const Route &route, const std::string &path)
     if (brace == std::string::npos || !routeMatches(route, path))
         return std::string();
     return path.substr(brace);
+}
+
+AdmitDecision
+admit(const Route &route, unsigned inflight, const ServerConfig &config)
+{
+    if (route.cost != RouteCost::Expensive)
+        return AdmitDecision::Admit;
+    const double pressure =
+        config.maxInflight == 0
+            ? 0.0
+            : static_cast<double>(inflight) /
+                  static_cast<double>(config.maxInflight);
+    // A batch body cannot be served at reduced resolution (its items
+    // are the client's, verbatim), so only degradable routes trade
+    // shedding for degradation.
+    const bool degrades = config.degradeSweeps && route.degradable;
+    if (pressure >= kExpensivePressure)
+        return degrades ? AdmitDecision::AdmitDegraded
+                        : AdmitDecision::Shed;
+    if (degrades && pressure >= config.degradePressure)
+        return AdmitDecision::AdmitDegraded;
+    return AdmitDecision::Admit;
 }
 
 } // namespace bwwall

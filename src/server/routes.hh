@@ -1,15 +1,14 @@
 /**
  * @file
- * The declarative route table shared by dispatch and overload
- * control.
+ * The declarative route table shared by dispatch and admission.
  *
  * bwwalld's endpoints used to live in an if/else chain in server.cc
- * with the overload controller keeping its own idea of which paths
- * are expensive.  Both now read this one table: each route names its
+ * with the overload policy keeping its own idea of which paths are
+ * expensive.  Both now read this one table: each route names its
  * path, the method it accepts, the handler that serves it, a cost
- * class (what the overload controller sheds first), and whether the
- * endpoint supports degraded (reduced-resolution) service.  Adding
- * an endpoint is one table row; the 405 hint, the admission policy,
+ * class (what admit() sheds first), and whether the endpoint
+ * supports degraded (reduced-resolution) service.  Adding an
+ * endpoint is one table row; the 405 hint, the admission policy,
  * and the dispatch switch all follow from it.
  */
 
@@ -20,6 +19,8 @@
 #include <string>
 
 namespace bwwall {
+
+struct ServerConfig;
 
 /** Which server code path serves a route. */
 enum class RouteHandler
@@ -34,9 +35,10 @@ enum class RouteHandler
 };
 
 /**
- * Admission cost class.  Control routes bypass overload admission
- * entirely, Cheap routes shed only in a full latency shed, and
- * Expensive routes give way first under pressure.
+ * Admission cost class.  Control routes bypass admit() entirely,
+ * Cheap routes are always admitted (only the reactor's
+ * --max-inflight cap sheds them), and Expensive routes give way
+ * under pressure.
  */
 enum class RouteCost
 {
@@ -98,6 +100,26 @@ bool routeAllowsMethod(const Route &route,
  */
 std::string routePathParam(const Route &route,
                            const std::string &path);
+
+/** What to do with one arriving model query or ingest snapshot. */
+enum class AdmitDecision
+{
+    Admit,         ///< serve normally
+    AdmitDegraded, ///< serve at reduced resolution (degradable only)
+    Shed,          ///< 503 + Retry-After
+};
+
+/**
+ * The request-level admission policy, a pure function of @p route
+ * and the server's @p inflight count against config.maxInflight:
+ * Expensive routes shed from 75 % pressure on; with
+ * config.degradeSweeps, degradable ones are instead admitted
+ * degraded from 75 % or config.degradePressure, whichever is lower.
+ * Other routes are always admitted.  No randomness and no shared
+ * state, so every decision is reproducible from its arguments.
+ */
+AdmitDecision admit(const Route &route, unsigned inflight,
+                    const ServerConfig &config);
 
 } // namespace bwwall
 

@@ -98,19 +98,10 @@ BwwallServer::BwwallServer(ServerConfig config)
                    config_.cachePersistPath, "'");
         }
     }
-    OverloadConfig overload_config;
-    overload_config.maxInflight = config_.maxInflight;
-    overload_config.shedP99Seconds = config_.shedP99Ms / 1000.0;
-    overload_config.retryAfterSeconds = config_.retryAfterSeconds;
-    overload_config.degradeSweeps = config_.degradeSweeps;
-    overload_config.degradePressure = config_.degradePressure;
-    overload_ =
-        std::make_unique<OverloadController>(overload_config);
     IngestConfig ingest_config;
     ingest_config.maxSessions = config_.maxIngestSessions;
     ingest_config.maxSessionBytes = config_.maxSessionBytes;
     ingest_config.ttlSeconds = config_.ingestTtlSeconds;
-    ingest_config.retryAfterSeconds = config_.retryAfterSeconds;
     ingest_ = std::make_unique<IngestSessionManager>(ingest_config,
                                                      &metrics_);
     if (config_.trace) {
@@ -159,7 +150,6 @@ BwwallServer::start()
     reactor_config.maxInflight = config_.maxInflight;
     reactor_config.idleTimeoutMs = config_.idleTimeoutMs;
     reactor_config.maxBodyBytes = config_.maxBodyBytes;
-    reactor_config.retryAfterSeconds = config_.retryAfterSeconds;
     reactor_ = std::make_unique<HttpReactor>(
         reactor_config, &metrics_,
         [this](const HttpRequest &request,
@@ -302,8 +292,7 @@ BwwallServer::shedResponse()
     HttpResponse shed = httpErrorResponseFor(
         {ErrorCategory::Overload,
          "shed by overload control; retry later"});
-    shed.headers["Retry-After"] =
-        std::to_string(overload_->retryAfterSeconds());
+    shed.headers["Retry-After"] = std::string(kRetryAfterSeconds);
     return shed;
 }
 
@@ -315,7 +304,7 @@ BwwallServer::prepareModelQuery(const HttpRequest &request,
                                 ModelQuery *query,
                                 HttpResponse *answer)
 {
-    query->decision = overload_->admit(route, inflight);
+    query->decision = admit(route, inflight, config_);
     if (query->decision == AdmitDecision::Shed) {
         *answer = shedResponse();
         return true;
@@ -393,7 +382,6 @@ BwwallServer::answerInline(
     unsigned inflight, HttpResponse *response,
     std::unique_ptr<HttpReactor::Prepared> *prepared)
 {
-    bool observed = false;
     const Route *route = findRoute(request.path);
     if (route == nullptr) {
         *response = httpErrorResponse(
@@ -416,12 +404,8 @@ BwwallServer::answerInline(
           case RouteHandler::ModelQuery: {
             auto query = std::make_unique<ModelQuery>();
             if (prepareModelQuery(request, *route, inflight,
-                                  received, query.get(), response)) {
-                // Sheds are not observed: only served requests feed
-                // the latency window.
-                observed = query->decision != AdmitDecision::Shed;
+                                  received, query.get(), response))
                 break;
-            }
             // A Cheap miss computes in microseconds: the shard runs
             // it unless that would wait on a flight or a peer.
             if (route->cost != RouteCost::Cheap ||
@@ -432,7 +416,6 @@ BwwallServer::answerInline(
                 return false;
             }
             metrics_.addCounter("server.inline_computes");
-            observed = true;
             break;
           }
           case RouteHandler::Trace:
@@ -441,7 +424,7 @@ BwwallServer::answerInline(
             return false; // the compute pool's work
         }
     }
-    recordRequest(request, route, received, *response, observed);
+    recordRequest(request, route, received, *response);
     return true;
 }
 
@@ -608,19 +591,17 @@ BwwallServer::handleIngestSession(const HttpRequest &request,
         // GET/HEAD snapshots go through overload admission;
         // degraded service drops curve resolution.
         const AdmitDecision decision =
-            overload_->admit(route, inflight);
+            admit(route, inflight, config_);
         if (decision == AdmitDecision::Shed)
             return shedResponse();
         const bool degraded =
             decision == AdmitDecision::AdmitDegraded;
-        const auto received = Clock::now();
         HttpResponse response = ingest_->snapshot(id, degraded);
         if (degraded && response.status == 200) {
             metrics_.addCounter("server.degraded");
             response.headers["X-BWWall-Degraded"] =
                 std::string("1");
         }
-        overload_->observe(secondsSince(received));
         return response;
     } catch (const Errored &e) {
         metrics_.addCounter("server.handler_errors");
@@ -642,7 +623,6 @@ BwwallServer::dispatch(const HttpRequest &request,
     // whose method is wrong, or whose answer needs no compute.
     const Route &route = *findRoute(request.path);
     HttpResponse response;
-    bool observed = false;
     switch (route.handler) {
       case RouteHandler::Trace:
         response = handleTrace();
@@ -650,7 +630,6 @@ BwwallServer::dispatch(const HttpRequest &request,
       case RouteHandler::ModelQuery:
         handleModelQuery(request, received, *prepared, false,
                          &response);
-        observed = true;
         break;
       case RouteHandler::IngestCreate:
         response = handleIngestCreate(request);
@@ -663,7 +642,7 @@ BwwallServer::dispatch(const HttpRequest &request,
       case RouteHandler::Cluster:
         panic("route ", route.path, " reached the compute pool");
     }
-    recordRequest(request, &route, received, response, observed);
+    recordRequest(request, &route, received, response);
     return response;
 }
 
@@ -671,14 +650,11 @@ void
 BwwallServer::recordRequest(const HttpRequest &request,
                             const Route *route,
                             Clock::time_point received,
-                            const HttpResponse &response,
-                            bool observed)
+                            const HttpResponse &response)
 {
     metrics_.addCounter("server.requests");
     requestCount_.fetch_add(1, std::memory_order_relaxed);
     const double elapsed = secondsSince(received);
-    if (observed)
-        overload_->observe(elapsed);
     // Pattern routes aggregate under the route's path, and every
     // unmatched path under one "unknown" key, so neither per-id
     // URLs nor probes of random paths can grow the registry

@@ -19,16 +19,16 @@
  * thread, and cheap traffic never leaves its shard.  This
  * layer owns the policy on top: the route table
  * (server/routes.hh) mapping method + path to a handler and a cost
- * class, the model-service handlers, the result cache, and the
- * overload controller.
+ * class, admission, the model-service handlers, and the result
+ * cache.
  *
  * Robustness is first-class:
  *  - admission control: beyond --max-connections open sockets or
  *    --max-inflight parsed requests in flight, new arrivals get an
  *    immediate 503 (with a Retry-After hint) and close;
- *  - selective shedding: an OverloadController sheds expensive
- *    endpoints (/v1/sweep, /v1/batch) first under inflight or
- *    p99-latency pressure, and can serve sweeps at reduced
+ *  - selective shedding: admit() (server/routes.hh) sheds expensive
+ *    endpoints (/v1/sweep, /v1/batch) under inflight pressure while
+ *    cheap ones keep serving, and can serve sweeps at reduced
  *    resolution (X-BWWall-Degraded) instead;
  *  - stale-while-revalidate: expired cache entries are served
  *    (X-BWWall-Stale) while one request recomputes them;
@@ -64,7 +64,6 @@
 #include "server/cluster.hh"
 #include "server/http.hh"
 #include "server/ingest_session.hh"
-#include "server/overload.hh"
 #include "server/reactor.hh"
 #include "server/result_cache.hh"
 #include "util/metrics.hh"
@@ -128,13 +127,6 @@ struct ServerConfig
     /** Admission limit: parsed requests queued + computing before 503. */
     unsigned maxInflight = 256;
 
-    /**
-     * Shed expensive endpoints once the recent p99 latency exceeds
-     * this many milliseconds (0 disables latency-based shedding);
-     * everything sheds beyond twice the threshold.
-     */
-    double shedP99Ms = 0.0;
-
     /** Serve pressed sweeps at reduced resolution instead of 503. */
     bool degradeSweeps = false;
 
@@ -143,9 +135,6 @@ struct ServerConfig
      * are degraded (with degradeSweeps; 0 degrades every sweep).
      */
     double degradePressure = 0.5;
-
-    /** The Retry-After hint on shed responses, seconds. */
-    unsigned retryAfterSeconds = 1;
 
     /** Largest accepted request body. */
     std::size_t maxBodyBytes = 1u << 20;
@@ -228,7 +217,6 @@ class BwwallServer
 
     MetricsRegistry &metrics() { return metrics_; }
     ResultCache &cache() { return *cache_; }
-    OverloadController &overload() { return *overload_; }
     IngestSessionManager &ingest() { return *ingest_; }
 
     /**
@@ -288,11 +276,11 @@ class BwwallServer
 
     /**
      * Admits, parses, keys, and probes one model query on its
-     * already-matched @p route: the single admit() call (each costs
-     * a p99 sort under --shed-p99-ms), the single parse, and the
-     * single cache-key build.  Returns true with *answer set when no
-     * compute is needed: a shed, a malformed or non-object body, or
-     * a fresh admitted hit (a 504 once past the deadline).
+     * already-matched @p route: the single admit() call, the single
+     * parse, and the single cache-key build.  Returns true with
+     * *answer set when no compute is needed: a shed, a malformed or
+     * non-object body, or a fresh admitted hit (a 504 once past the
+     * deadline).
      */
     bool prepareModelQuery(const HttpRequest &request,
                            const Route &route, unsigned inflight,
@@ -326,12 +314,11 @@ class BwwallServer
     /**
      * The bookkeeping every request passes through once, on
      * whichever thread answered it: request and status counters,
-     * the endpoint's count and latency, the overload window (when
-     * @p observed), and the --log-requests line.
+     * the endpoint's count and latency, and the --log-requests line.
      */
     void recordRequest(const HttpRequest &request, const Route *route,
                        Clock::time_point received,
-                       const HttpResponse &response, bool observed);
+                       const HttpResponse &response);
 
     /** POST /v1/trace/ingest: parse the body, open a session. */
     HttpResponse handleIngestCreate(const HttpRequest &request);
@@ -360,7 +347,6 @@ class BwwallServer
     ServerConfig config_;
     MetricsRegistry metrics_;
     std::unique_ptr<ResultCache> cache_;
-    std::unique_ptr<OverloadController> overload_;
     std::unique_ptr<IngestSessionManager> ingest_;
     std::unique_ptr<TraceRecorder> recorder_;
     std::unique_ptr<HttpReactor> reactor_;

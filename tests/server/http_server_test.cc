@@ -715,45 +715,6 @@ TEST(HttpServerOverloadTest, PressedSweepShedsWhileTrafficIsServed)
     server.stop();
 }
 
-TEST(HttpServerOverloadTest, RetryRidesOutALatencyShed)
-{
-    ServerConfig config;
-    config.port = 0;
-    config.threads = 2;
-    config.shedP99Ms = 10.0;
-    BwwallServer server(config);
-    server.start();
-    {
-        HttpClient client("127.0.0.1", server.port());
-        HttpClientResponse response;
-        std::string error;
-
-        // Slow samples far past twice the target: every model query
-        // sheds until they age past the one-second horizon.
-        for (int i = 0; i < 8; ++i)
-            server.overload().observe(0.100);
-
-        // The retrying client absorbs the shed: it waits out the
-        // Retry-After hint (one second, the horizon), the samples
-        // age out, and the caller never sees the 503.
-        HttpRetryPolicy policy;
-        policy.maxAttempts = 3;
-        policy.initialBackoffMs = 100.0;
-        policy.maxBackoffMs = 1500.0;
-        policy.retryPosts = true;
-        client.setRetryPolicy(policy);
-        ASSERT_TRUE(client.perform(
-            {.method = "POST", .target = "/v1/sweep",
-             .body = "{\"kind\":\"scaling\",\"generations\":2}"},
-            &response, &error))
-            << error;
-        EXPECT_EQ(response.status, 200);
-        EXPECT_GE(client.retriesUsed(), 1u);
-        EXPECT_GE(server.metrics().counter("server.shed"), 1u);
-    }
-    server.stop();
-}
-
 TEST(HttpServerOverloadTest, PressedSweepsAreServedDegraded)
 {
     ServerConfig config;

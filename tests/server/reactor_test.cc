@@ -7,7 +7,8 @@
  * idle keep-alive connections parked, connection churn, no
  * lost compute wake under multi-shard load, cache hits answered on
  * the io shard (a pipelined flood of them, and one queued behind a
- * miss), and requests whose FIN arrives with them.  The TSan shard
+ * miss), requests whose FIN arrives with them, and a retrying
+ * client riding out a 503 + Retry-After.  The TSan shard
  * runs these to check the event-loop -> compute-pool -> write-back
  * handoff.
  */
@@ -612,6 +613,53 @@ TEST(ReactorTest, InlineHookThatThrowsIsA500AndTheShardSurvives)
         }
     }
     EXPECT_EQ(metrics.counter("server.connection_errors"), 1u);
+    reactor.requestStop();
+    reactor.join();
+}
+
+TEST(ReactorTest, RetryingClientRidesOutA503WithRetryAfter)
+{
+    // The handler sheds the first request the way every server 503
+    // does, then serves: the retrying client must wait out the
+    // Retry-After hint and hand its caller the 200.
+    MetricsRegistry metrics;
+    std::atomic<unsigned> calls{0};
+    HttpReactor reactor(
+        ReactorConfig{}, &metrics,
+        [&calls](const HttpRequest &, HttpReactor::Clock::time_point,
+                 unsigned, HttpReactor::Prepared *) {
+            if (calls.fetch_add(1) == 0) {
+                HttpResponse shed =
+                    httpErrorResponse(503, "shed; retry later");
+                shed.headers["Retry-After"] = std::string(kRetryAfterSeconds);
+                return shed;
+            }
+            HttpResponse response;
+            response.body = "served";
+            return response;
+        });
+    reactor.start();
+    HttpClient client("127.0.0.1", reactor.port());
+    HttpRetryPolicy policy;
+    policy.initialBackoffMs = 10.0;
+    policy.maxBackoffMs = 1500.0;
+    client.setRetryPolicy(policy);
+    HttpClientResponse response;
+    std::string error;
+    const auto start = std::chrono::steady_clock::now();
+    // A POST: a 503 refused the work, so it is safe to retry even
+    // without retryPosts.
+    ASSERT_TRUE(client.perform(
+        {.method = "POST", .target = "/work", .body = "{}"},
+        &response, &error))
+        << error;
+    EXPECT_EQ(response.status, 200);
+    EXPECT_EQ(response.body, "served");
+    EXPECT_GE(client.retriesUsed(), 1u);
+    EXPECT_EQ(calls.load(), 2u);
+    // The one-second hint, not the 10 ms backoff, set the wait.
+    EXPECT_GE(std::chrono::steady_clock::now() - start,
+              std::chrono::milliseconds(900));
     reactor.requestStop();
     reactor.join();
 }
