@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
@@ -34,6 +35,20 @@ setNonBlocking(int fd)
     const int flags = ::fcntl(fd, F_GETFL, 0);
     if (flags >= 0)
         ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+}
+
+/**
+ * Sends each segment as soon as it is written.  Without it, the
+ * tail of a response split across sends (a full socket buffer, or
+ * the http.write.short fault) waits for the client's delayed ACK,
+ * about 40 ms.
+ */
+void
+setNoDelay(int fd)
+{
+    const int enable = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &enable,
+                 sizeof(enable));
 }
 
 void
@@ -125,8 +140,8 @@ struct HttpReactor::Shard
     /** Accepted fds from the accept thread. */
     MpmcQueue<int> inbox{1024};
 
-    /** Serialized responses from the compute pool. */
-    MpmcQueue<Completion> completions;
+    /** Serialized responses from the compute pool, boxed. */
+    MpmcQueue<std::unique_ptr<Completion>> completions;
 
     std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns;
 
@@ -203,8 +218,8 @@ HttpReactor::start()
         fatal("eventfd(): ", std::strerror(errno));
     const std::size_t queue_capacity = std::max<std::size_t>(
         1024, config_.maxInflight);
-    computeQueue_ =
-        std::make_unique<MpmcQueue<WorkItem>>(queue_capacity);
+    computeQueue_ = std::make_unique<
+        MpmcQueue<std::unique_ptr<WorkItem>>>(queue_capacity);
 
     shards_.reserve(config_.ioShards);
     for (unsigned i = 0; i < config_.ioShards; ++i) {
@@ -282,6 +297,7 @@ HttpReactor::acceptLoop()
         }
 
         setNonBlocking(fd);
+        setNoDelay(fd);
         connCount_.fetch_add(1, std::memory_order_relaxed);
         Shard &shard =
             *shards_[nextShard_.fetch_add(
@@ -555,7 +571,9 @@ HttpReactor::pumpRequest(Shard &shard, Conn *conn, bool eof)
         queued_.fetch_add(1);
         conn->computing = true;
         shard.outstanding += 1;
-        if (!computeQueue_->tryPush(std::move(item))) {
+        // A failed push leaves the box here, freed on return.
+        auto boxed = std::make_unique<WorkItem>(std::move(item));
+        if (!computeQueue_->tryPush(std::move(boxed))) {
             // The compute queue itself is the capacity backstop.
             inflight_.fetch_sub(1, std::memory_order_relaxed);
             queued_.fetch_sub(1);
@@ -665,18 +683,18 @@ HttpReactor::handleReadable(Shard &shard, Conn *conn)
 void
 HttpReactor::processCompletions(Shard &shard)
 {
-    Completion completion;
+    std::unique_ptr<Completion> completion;
     while (shard.completions.tryPop(&completion)) {
         shard.outstanding -= 1;
         inflight_.fetch_sub(1, std::memory_order_relaxed);
-        const auto it = shard.conns.find(completion.connId);
+        const auto it = shard.conns.find(completion->connId);
         if (it == shard.conns.end())
             continue; // the connection died while computing
         Conn *conn = it->second.get();
         conn->computing = false;
         conn->lastActivity = Clock::now();
-        if (!respond(shard, conn, std::move(completion.wire),
-                     completion.close))
+        if (!respond(shard, conn, std::move(completion->wire),
+                     completion->close))
             continue; // closed (error, or close-after-write done)
         if (conn->closeAfterWrite)
             continue; // close resumes once EPOLLOUT drains it
@@ -818,13 +836,14 @@ HttpReactor::computeLoop()
         // already visible.  Dropping the token would strand that
         // item, so keep it and retry; only a token that finds
         // nothing queued at all is a stop token.
-        WorkItem item;
-        while (!computeQueue_->tryPop(&item)) {
+        std::unique_ptr<WorkItem> boxed;
+        while (!computeQueue_->tryPop(&boxed)) {
             if (stopping() && queued_.load() == 0)
                 return;
             std::this_thread::yield();
         }
         queued_.fetch_sub(1);
+        const WorkItem &item = *boxed;
 
         std::string wire;
         bool close = false;
@@ -844,7 +863,9 @@ HttpReactor::computeLoop()
         }
 
         Shard &shard = *shards_[item.shard];
-        Completion completion{item.connId, std::move(wire), close};
+        auto completion = std::make_unique<Completion>(
+            Completion{item.connId, std::move(wire), close});
+        // tryPush moves only on success, so the retry keeps the box.
         while (!shard.completions.tryPush(std::move(completion)))
             std::this_thread::yield();
         wakeEventFd(shard.wakeFd);

@@ -644,6 +644,20 @@ TEST_F(HttpServerTest, ShortWritesPreserveByteIdentity)
               reference.headers.at("content-type"));
 }
 
+TEST_F(HttpServerTest, ShortWritesDoNotWaitForDelayedAcks)
+{
+    // Every response goes out one byte per send().  Without
+    // TCP_NODELAY on the accepted socket, Nagle holds each
+    // response's tail until the client's delayed ACK (about 40 ms),
+    // so ten keep-alive requests would take about 400 ms.
+    ScopedFaultInjection faults("http.write.short=prob:1");
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < 10; ++i)
+        ASSERT_EQ(get("/healthz").status, 200) << "request " << i;
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::milliseconds(200));
+}
+
 TEST_F(HttpServerTest, DroppedAcceptIsSurvivedByAReconnect)
 {
     ScopedFaultInjection faults("server.accept=nth:1",

@@ -7,8 +7,9 @@
  * idle keep-alive connections parked, connection churn, no
  * lost compute wake under multi-shard load, cache hits answered on
  * the io shard (a pipelined flood of them, and one queued behind a
- * miss), requests whose FIN arrives with them, and a retrying
- * client riding out a 503 + Retry-After.  The TSan shard
+ * miss), requests whose FIN arrives with them, a retrying
+ * client riding out a 503 + Retry-After, and the heap an idle
+ * reactor's queue rings take at start().  The TSan shard
  * runs these to check the event-loop -> compute-pool -> write-back
  * handoff.
  */
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <malloc.h>
 #include <netinet/in.h>
 #include <pthread.h>
 #include <sys/socket.h>
@@ -34,6 +36,25 @@
 #include "server/reactor.hh"
 #include "server/server.hh"
 #include "util/metrics.hh"
+
+// glibc's mallinfo2() sees only glibc's own allocator, which the
+// address and thread sanitizers replace.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define BWWALL_GLIBC_HEAP_ACCOUNTING 0
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+#define BWWALL_GLIBC_HEAP_ACCOUNTING 0
+#endif
+#endif
+#if !defined(BWWALL_GLIBC_HEAP_ACCOUNTING)
+#if defined(__GLIBC__) && \
+    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 33))
+#define BWWALL_GLIBC_HEAP_ACCOUNTING 1
+#else
+#define BWWALL_GLIBC_HEAP_ACCOUNTING 0
+#endif
+#endif
 
 namespace bwwall {
 namespace {
@@ -662,6 +683,39 @@ TEST(ReactorTest, RetryingClientRidesOutA503WithRetryAfter)
               std::chrono::milliseconds(900));
     reactor.requestStop();
     reactor.join();
+}
+
+TEST(ReactorTest, IdleStartAllocatesUnder128KiB)
+{
+#if BWWALL_GLIBC_HEAP_ACCOUNTING
+    // The queue rings are preallocated at start(): the compute ring
+    // and each shard's completion ring have max(1024, maxInflight)
+    // cells, the accept inbox 1024.  With pointer-sized payloads the
+    // three rings of one shard take about 49 KiB; a whole request
+    // (256 B) in each compute-ring cell alone would pass the bound.
+    MetricsRegistry metrics;
+    ReactorConfig config;
+    config.ioShards = 1;
+    config.computeThreads = 1;
+    HttpReactor reactor(
+        config, &metrics,
+        [](const HttpRequest &, HttpReactor::Clock::time_point,
+           unsigned, HttpReactor::Prepared *) { return HttpResponse{}; });
+    const auto heapBytes = [] {
+        const struct mallinfo2 info = ::mallinfo2();
+        return info.uordblks + info.hblkhd;
+    };
+    const std::size_t before = heapBytes();
+    reactor.start();
+    const std::size_t after = heapBytes();
+    const std::size_t grew = after > before ? after - before : 0;
+    EXPECT_LT(grew, std::size_t{128} << 10)
+        << "start() allocated " << grew << " bytes";
+    reactor.requestStop();
+    reactor.join();
+#else
+    GTEST_SKIP() << "needs glibc's own allocator (mallinfo2)";
+#endif
 }
 
 } // namespace
