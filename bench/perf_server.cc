@@ -267,7 +267,6 @@ struct ChaosResult
     std::uint64_t transportErrors = 0;
     std::uint64_t ok = 0;
     std::uint64_t staleServed = 0;
-    std::uint64_t degraded = 0;
     std::uint64_t shed = 0;
     /**
      * Injected faults answered deliberately: a faulted 500 or a 424
@@ -285,7 +284,7 @@ struct ChaosResult
 /**
  * Fault-tolerant closed loop: every response is classified rather
  * than asserted.  Deliberate outcomes under an armed fault plan are
- * 200 (possibly stale/degraded), 503 sheds, 424 solver faults, 500
+ * 200 (possibly stale), 503 sheds, 424 solver faults, 500
  * bodies naming category "faulted", and 504 deadline misses;
  * anything else counts as unexpected and fails the chaos gate.
  */
@@ -347,9 +346,6 @@ runChaos(std::uint16_t port, unsigned threads,
                     ++mine.ok;
                     if (response.headers.count("x-bwwall-stale"))
                         ++mine.staleServed;
-                    if (response.headers.count(
-                            "x-bwwall-degraded"))
-                        ++mine.degraded;
                     break;
                   case 400:
                     // An injected http.read fault corrupts the
@@ -398,7 +394,6 @@ runChaos(std::uint16_t port, unsigned threads,
         result.transportErrors += mine.transportErrors;
         result.ok += mine.ok;
         result.staleServed += mine.staleServed;
-        result.degraded += mine.degraded;
         result.shed += mine.shed;
         result.faulted += mine.faulted;
         result.deadlineExceeded += mine.deadlineExceeded;
@@ -436,8 +431,8 @@ main(int argc, char **argv)
                      "capacity phase (default 512, quick 256)");
     parser.addFlag("--chaos", &chaos,
                    "drive the server under an armed fault plan and "
-                   "report shed/stale/degraded/faulted rates "
-                   "instead of the throughput phases");
+                   "report shed/stale/faulted rates instead of the "
+                   "throughput phases");
     // scripts/reproduce_all.sh treats every perf_* binary as a
     // google-benchmark main and passes --benchmark_min_time in
     // quick mode; accept and ignore that family only.
@@ -479,12 +474,10 @@ main(int argc, char **argv)
     config.threads = threads;
     config.deadlineMs = 0;
     if (chaos) {
-        // Short TTL + stale window + degradation: the chaos loop
-        // exercises every graceful-degradation path at once.
+        // Short TTL + stale window: the chaos loop exercises stale
+        // serving and revalidation alongside the faults.
         config.cacheTtlSeconds = 0.25;
         config.cacheStaleSeconds = 10.0;
-        config.degradeSweeps = true;
-        config.degradePressure = 0.0; // degrade every sweep
     }
     BwwallServer server(config);
 
@@ -544,10 +537,9 @@ main(int argc, char **argv)
                          : 0.0;
         std::cout << "chaos: " << storm.requests << " requests in "
                   << storm.seconds << " s: " << storm.ok
-                  << " ok (" << storm.staleServed << " stale, "
-                  << storm.degraded << " degraded), " << storm.shed
-                  << " shed, " << storm.faulted << " faulted ("
-                  << absorbed << " answered stale), "
+                  << " ok (" << storm.staleServed << " stale), "
+                  << storm.shed << " shed, " << storm.faulted
+                  << " faulted (" << absorbed << " answered stale), "
                   << storm.transportErrors
                   << " transport errors, " << storm.unexpected
                   << " unexpected, p99 " << p99_ms << " ms\n";
@@ -560,8 +552,6 @@ main(int argc, char **argv)
         metrics.addCounter("perf_server.chaos.ok", storm.ok);
         metrics.addCounter("perf_server.chaos.stale_served",
                            storm.staleServed);
-        metrics.addCounter("perf_server.chaos.degraded",
-                           storm.degraded);
         metrics.addCounter("perf_server.chaos.shed", storm.shed);
         metrics.addCounter("perf_server.chaos.faulted",
                            storm.faulted);

@@ -17,8 +17,10 @@
  * Endpoints:
  *   POST /v1/{traffic,solve,sweep,batch}  forwarded to the owner
  *   GET  /v1/cluster   the router's own shard-map view
- *   GET  /healthz      local liveness ("kind":"router")
+ *   GET  /healthz      local liveness ("kind":"router"; HEAD answers
+ *                      the status with no body)
  *   GET  /metrics      local router.* counters
+ *   wrong method       405 on any of the routes above
  *   anything else      404 (the router fronts model queries only)
  *
  * Examples:
@@ -201,6 +203,17 @@ HttpResponse
 dispatch(Router &router, const HttpRequest &request)
 {
     router.metrics.addCounter("router.requests");
+    const bool control = request.path == "/healthz" ||
+                         request.path == "/metrics" ||
+                         request.path == "/v1/cluster";
+    if (control && request.method != "GET") {
+        // A HEAD probe answers the status alone: a body here would
+        // be read as the start of the next keep-alive response.
+        if (request.path == "/healthz" && request.method == "HEAD")
+            return HttpResponse();
+        return taxonomyError(405, "invalid_input",
+                             "use GET " + request.path);
+    }
     if (request.path == "/healthz") {
         JsonValue payload = JsonValue::makeObject();
         payload.set("status", JsonValue("ok"));

@@ -46,7 +46,6 @@ main(int argc, char **argv)
     std::uint64_t max_sessions = 64;
     std::uint64_t max_session_bytes = 64ull << 20;
     double ingest_ttl_seconds = 300.0;
-    bool degrade = false;
     std::string peers;
     std::string self;
     std::uint64_t peer_deadline_ms = 1000;
@@ -105,9 +104,6 @@ main(int argc, char **argv)
                      "S",
                      "idle seconds before an ingest session is "
                      "swept (0 = never)");
-    parser.addFlag("--degrade", &degrade,
-                   "serve pressed sweeps at reduced resolution "
-                   "instead of shedding them");
     parser.addOption("--peers", &peers, "LIST",
                      "cluster membership as host:port,host:port,"
                      "... (every node passes the same list; empty "
@@ -179,7 +175,6 @@ main(int argc, char **argv)
     config.maxSessionBytes =
         static_cast<std::size_t>(max_session_bytes);
     config.ingestTtlSeconds = ingest_ttl_seconds;
-    config.degradeSweeps = degrade;
     if (!peers.empty()) {
         std::string peer_error;
         if (!parsePeerList(peers, &config.cluster.peers,

@@ -4,8 +4,8 @@
 # Usage: scripts/chaos_smoke.sh BWWALLD_BINARY [CLIENT_BINARY]
 #
 # Starts the daemon with --faults arming every wired fault point at
-# >= 1 % (plus stale serving and sweep degradation), hammers it
-# with a mixed curl workload, and asserts the robustness contract:
+# >= 1 % (plus stale serving), hammers it with a mixed curl
+# workload, and asserts the robustness contract:
 # the process never crashes, every response carries a deliberate
 # status (200/400/424/500/503/504 — nothing else), no request hangs,
 # every armed fault point actually fired, and metrics stay coherent.
@@ -49,7 +49,7 @@ plan="$plan;ingest.append=prob:0.2"
 plan="$plan;ingest.snapshot=prob:0.1"
 
 "$bwwalld" --port 0 --threads 4 --ttl-seconds 0.2 \
-    --stale-seconds 30 --degrade \
+    --stale-seconds 30 \
     --max-sessions 8 --max-session-bytes 65536 \
     --ingest-ttl-seconds 30 \
     --faults "$plan" \

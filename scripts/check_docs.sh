@@ -3,7 +3,7 @@
 #
 # Usage: scripts/check_docs.sh [BUILD_DIR]
 #
-# Six checks keep the docs from drifting away from the code:
+# Seven checks keep the docs from drifting away from the code:
 #   1. every page under docs/ is linked from the README;
 #   2. every relative markdown link (and every docs/X.md mention)
 #      in README.md, DESIGN.md, and docs/ resolves to a real file;
@@ -18,7 +18,10 @@
 #      grew, which is exactly the drift this catches;
 #   6. every metric name in a docs/OBSERVABILITY.md table appears as
 #      a string literal in src/ or examples/ (so a deleted counter
-#      cannot live on in the docs).
+#      cannot live on in the docs);
+#   7. every X-BWWall-* header named in README.md, DESIGN.md, or
+#      docs/ appears, case-insensitively, in src/ or examples/ (so a
+#      deleted header cannot live on in the docs).
 set -euo pipefail
 
 build_dir="${1:-build}"
@@ -152,6 +155,14 @@ while IFS= read -r metric; do
 done < <(grep '^|' docs/OBSERVABILITY.md |
     grep -o '`[a-z_][a-z0-9_]*\(\.[a-z0-9_]\+\)\+`' |
     tr -d '`' | sort -u)
+
+# --- 7. documented X-BWWall-* headers exist in the code --------------
+while IFS= read -r header; do
+    if ! grep -rqiF -- "$header" src examples; then
+        fail "header $header (docs) is not named in src/ or examples/"
+    fi
+done < <(grep -ohiE 'x-bwwall-[a-z0-9]+(-[a-z0-9]+)*' "${doc_files[@]}" |
+    tr 'A-Z' 'a-z' | sort -u)
 
 if [ "$failures" -ne 0 ]; then
     echo "check_docs: $failures problem(s)" >&2

@@ -8,6 +8,9 @@
 # daemon, then checks the cluster invariants over the wire:
 #
 #   - /v1/cluster reports the membership on every node and the router
+#   - the router's HEAD /healthz carries no body, so a GET after it on
+#     the same keep-alive socket still parses, and a wrong method on
+#     its control routes answers 405
 #   - the same query answered via any node, the router, and the
 #     single reference daemon is byte-identical
 #   - exactly one node (the owner) answers without the peer-fill
@@ -136,6 +139,47 @@ body=$(curl -sf "$router/healthz")
 [ "$body" = '{"kind":"router","status":"ok"}' ] ||
     fail "router /healthz said: $body"
 echo "== membership OK"
+
+# --- router control routes: HEAD framing and wrong methods ------------
+# A HEAD answer must carry no body bytes: on one keep-alive socket a
+# HEAD /healthz and then a GET /healthz must both parse.
+python3 - "$router_port" <<'EOF' ||
+import socket
+import sys
+
+sock = socket.create_connection(("127.0.0.1", int(sys.argv[1])), timeout=5)
+reader = sock.makefile("rb")
+
+
+def exchange(method):
+    sock.sendall(f"{method} /healthz HTTP/1.1\r\nHost: router\r\n\r\n".encode())
+    status = reader.readline().decode("latin-1")
+    if not status.startswith("HTTP/1.1 "):
+        sys.exit(f"{method} /healthz: unparsable status line {status!r}")
+    headers = {}
+    for line in iter(reader.readline, b"\r\n"):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    # A HEAD response has no body, whatever its Content-Length says.
+    length = 0 if method == "HEAD" else int(headers.get("content-length", 0))
+    return int(status.split()[1]), reader.read(length)
+
+
+for method, want in (("HEAD", b""),
+                     ("GET", b'{"kind":"router","status":"ok"}\n')):
+    status, body = exchange(method)
+    if status != 200 or body != want:
+        sys.exit(f"{method} /healthz answered {status} {body!r}")
+EOF
+    fail "router HEAD /healthz broke keep-alive framing"
+for path in /healthz /metrics /v1/cluster; do
+    code=$(curl -s -o "$work/post_control.json" -w '%{http_code}' \
+        -X POST "$router$path")
+    [ "$code" = 405 ] || fail "router POST $path answered $code, not 405"
+    grep -q '"category":"invalid_input"' "$work/post_control.json" ||
+        fail "router POST $path 405 lacks the taxonomy body"
+done
+echo "== router control routes OK (HEAD /healthz bodiless, POST answers 405)"
 
 # --- byte identity and peer fill --------------------------------------
 # The same solve via every node, the router, and the single-node

@@ -441,7 +441,6 @@ Cluster::fillFromPeer(const std::string &peer,
     }
     notePeerSuccess(peer);
     if (response.status != 200 ||
-        response.headers.count("x-bwwall-degraded") != 0 ||
         response.headers.count("x-bwwall-stale") != 0) {
         // The owner refused (shed, deadline, error) or answered
         // in a form a direct solve would not produce; fall back to

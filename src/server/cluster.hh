@@ -22,7 +22,7 @@
  * matter what the receiver's map says.  A fill is therefore at
  * most one hop even when members briefly disagree about
  * membership, and any fill failure (owner down, slow, shedding,
- * degraded, stale) falls back to a local compute — the cluster
+ * stale) falls back to a local compute — the cluster
  * degrades to N independent caches, never to an error.
  */
 
@@ -223,9 +223,9 @@ class Cluster
      * @p path, marked with kPeerFillHeader, under the stricter of
      * the configured peer deadline and @p remainingSeconds
      * (negative = no caller bound).  Returns true only for a
-     * fresh, full-resolution 200 — degraded (X-BWWall-Degraded)
-     * and stale (X-BWWall-Stale) answers are rejected so the local
-     * cache never adopts bytes a direct solve would not produce.
+     * fresh 200 — a stale (X-BWWall-Stale) answer is rejected so
+     * the local cache never adopts bytes a direct solve would not
+     * produce.
      * On success *out holds the peer's canonical response with the
      * kPeerFilledHeader marker added.
      */

@@ -102,7 +102,8 @@ class IngestSessionManager
     /**
      * GET /v1/trace/ingest/{id}: the live curve, fit, and advisor
      * verdict.  @p degraded serves a reduced-resolution curve
-     * (every other grid point, no advisor solve) under overload.
+     * (every other grid point, no advisor solve); the server always
+     * asks for the full curve and sheds a pressed snapshot instead.
      */
     HttpResponse snapshot(const std::string &id, bool degraded);
 

@@ -1,6 +1,5 @@
 #include "server/model_service.hh"
 
-#include <algorithm>
 #include <cmath>
 #include <map>
 #include <memory>
@@ -778,42 +777,6 @@ canonicalCacheKey(const std::string &path,
                   const JsonValue &request)
 {
     return path + '\n' + request.dump();
-}
-
-bool
-degradeSweepRequest(JsonValue *request)
-{
-    if (request == nullptr || !request->isObject())
-        return false;
-    const JsonValue *kind_value = request->find("kind");
-    if (kind_value != nullptr && !kind_value->isString())
-        return false;
-    const std::string kind = kind_value == nullptr
-                                 ? "scaling"
-                                 : kind_value->asString();
-    bool changed = false;
-    const auto reduceNumber = [&](const char *key, double fallback,
-                                  double divisor, double floor) {
-        const JsonValue *value = request->find(key);
-        const double current =
-            value != nullptr && value->isNumber() ? value->asNumber()
-                                                  : fallback;
-        const double reduced = std::max(
-            floor, std::floor(current / divisor));
-        if (reduced < current) {
-            request->set(key, JsonValue(reduced));
-            changed = true;
-        }
-    };
-    if (kind == "miss_curve") {
-        // An eighth of the simulated accesses keeps the power-law
-        // fit usable while cutting compute by roughly 8x.
-        reduceNumber("accesses", 200000.0, 8.0, 1000.0);
-        reduceNumber("warm", 100000.0, 8.0, 0.0);
-    } else if (kind == "scaling" || kind == "figure15") {
-        reduceNumber("generations", 4.0, 2.0, 1.0);
-    }
-    return changed;
 }
 
 CachedResponse

@@ -77,17 +77,6 @@ std::string canonicalCacheKey(const std::string &path,
                               const JsonValue &request);
 
 /**
- * Rewrites a /v1/sweep request body to a cheaper, lower-resolution
- * variant (fewer generations, fewer simulated accesses) for
- * degraded service under overload.  Returns true when the body
- * changed; a changed body also changes canonicalCacheKey, so
- * degraded and full answers never collide in the cache.  Leaves
- * malformed bodies untouched (strict validation rejects them
- * later).
- */
-bool degradeSweepRequest(JsonValue *request);
-
-/**
  * Evaluates one model query.  Deterministic: equal (path, request)
  * pairs produce byte-identical bodies.  Throws BadRequest for
  * semantic errors in the request and Errored (see util/error.hh)

@@ -43,8 +43,8 @@
  * requests queued or computing, and the one the shard is working
  * on) sheds at parse time, before the inline hook; both answer
  * 503 + Retry-After.  The request-level policy (expensive-first
- * shedding and degraded sweeps) belongs to the owner, which decides
- * it once per request in the hook.
+ * shedding) belongs to the owner, which decides it once per request
+ * in the hook.
  *
  * Chaos parity: the fault points fire in the same places as on
  * the blocking server — server.accept after the connection counter,

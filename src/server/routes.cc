@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "server/server.hh"
-
 namespace bwwall {
 
 namespace {
@@ -13,33 +11,28 @@ constexpr double kExpensivePressure = 0.75;
 
 const Route kRoutes[] = {
     {"/healthz", "GET", true, RouteHandler::Health,
-     RouteCost::Control, false, false, "use GET /healthz"},
+     RouteCost::Control, false, "use GET /healthz"},
     {"/metrics", "GET", false, RouteHandler::Metrics,
-     RouteCost::Control, false, false, "use GET /metrics"},
+     RouteCost::Control, false, "use GET /metrics"},
     {"/v1/trace", "GET", false, RouteHandler::Trace,
-     RouteCost::Control, false, false, "use GET /v1/trace"},
+     RouteCost::Control, false, "use GET /v1/trace"},
     {"/v1/cluster", "GET", false, RouteHandler::Cluster,
-     RouteCost::Control, false, false, "use GET /v1/cluster"},
+     RouteCost::Control, false, "use GET /v1/cluster"},
     {"/v1/traffic", "POST", false, RouteHandler::ModelQuery,
-     RouteCost::Cheap, false, false,
-     "model queries are POST requests"},
+     RouteCost::Cheap, false, "model queries are POST requests"},
     {"/v1/solve", "POST", false, RouteHandler::ModelQuery,
-     RouteCost::Cheap, false, false,
-     "model queries are POST requests"},
+     RouteCost::Cheap, false, "model queries are POST requests"},
     {"/v1/sweep", "POST", false, RouteHandler::ModelQuery,
-     RouteCost::Expensive, true, false,
-     "model queries are POST requests"},
+     RouteCost::Expensive, false, "model queries are POST requests"},
     {"/v1/batch", "POST", false, RouteHandler::ModelQuery,
-     RouteCost::Expensive, false, false,
-     "model queries are POST requests"},
+     RouteCost::Expensive, false, "model queries are POST requests"},
     {"/v1/trace/ingest", "POST", false, RouteHandler::IngestCreate,
-     RouteCost::Control, false, false,
+     RouteCost::Control, false,
      "create ingest sessions with POST /v1/trace/ingest"},
     // Appends stream on the shard threads and bypass admission
-    // entirely; the Expensive class governs only GET snapshots,
-    // which degrade (reduced-resolution curve) under pressure.
+    // entirely; the Expensive class governs only GET snapshots.
     {"/v1/trace/ingest/{id}", "POST GET DELETE", false,
-     RouteHandler::IngestSession, RouteCost::Expensive, true, true,
+     RouteHandler::IngestSession, RouteCost::Expensive, true,
      "use POST (append records), GET (snapshot), or DELETE "
      "(finalize) on an ingest session"},
 };
@@ -116,26 +109,14 @@ routePathParam(const Route &route, const std::string &path)
     return path.substr(brace);
 }
 
-AdmitDecision
-admit(const Route &route, unsigned inflight, const ServerConfig &config)
+bool
+admit(const Route &route, unsigned inflight, unsigned maxInflight)
 {
-    if (route.cost != RouteCost::Expensive)
-        return AdmitDecision::Admit;
-    const double pressure =
-        config.maxInflight == 0
-            ? 0.0
-            : static_cast<double>(inflight) /
-                  static_cast<double>(config.maxInflight);
-    // A batch body cannot be served at reduced resolution (its items
-    // are the client's, verbatim), so only degradable routes trade
-    // shedding for degradation.
-    const bool degrades = config.degradeSweeps && route.degradable;
-    if (pressure >= kExpensivePressure)
-        return degrades ? AdmitDecision::AdmitDegraded
-                        : AdmitDecision::Shed;
-    if (degrades && pressure >= config.degradePressure)
-        return AdmitDecision::AdmitDegraded;
-    return AdmitDecision::Admit;
+    if (route.cost != RouteCost::Expensive || maxInflight == 0)
+        return true;
+    return static_cast<double>(inflight) /
+               static_cast<double>(maxInflight) <
+           kExpensivePressure;
 }
 
 } // namespace bwwall

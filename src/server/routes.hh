@@ -5,11 +5,10 @@
  * bwwalld's endpoints used to live in an if/else chain in server.cc
  * with the overload policy keeping its own idea of which paths are
  * expensive.  Both now read this one table: each route names its
- * path, the method it accepts, the handler that serves it, a cost
- * class (what admit() sheds first), and whether the endpoint
- * supports degraded (reduced-resolution) service.  Adding an
- * endpoint is one table row; the 405 hint, the admission policy,
- * and the dispatch switch all follow from it.
+ * path, the method it accepts, the handler that serves it, and a
+ * cost class (what admit() sheds first).  Adding an endpoint is one
+ * table row; the 405 hint, the admission policy, and the dispatch
+ * switch all follow from it.
  */
 
 #ifndef BWWALL_SERVER_ROUTES_HH
@@ -19,8 +18,6 @@
 #include <string>
 
 namespace bwwall {
-
-struct ServerConfig;
 
 /** Which server code path serves a route. */
 enum class RouteHandler
@@ -65,13 +62,6 @@ struct Route
     RouteCost cost;
 
     /**
-     * Under pressure this route may be admitted at reduced
-     * resolution instead of shed (/v1/sweep and ingest snapshots:
-     * both have a well-defined cheaper form; batch bodies do not).
-     */
-    bool degradable;
-
-    /**
      * POST bodies on this route are streamed: the reactor hands the
      * body to a stream sink chunk by chunk instead of buffering it,
      * and the per-request maxBodyBytes limit is replaced by the
@@ -101,25 +91,15 @@ bool routeAllowsMethod(const Route &route,
 std::string routePathParam(const Route &route,
                            const std::string &path);
 
-/** What to do with one arriving model query or ingest snapshot. */
-enum class AdmitDecision
-{
-    Admit,         ///< serve normally
-    AdmitDegraded, ///< serve at reduced resolution (degradable only)
-    Shed,          ///< 503 + Retry-After
-};
-
 /**
- * The request-level admission policy, a pure function of @p route
- * and the server's @p inflight count against config.maxInflight:
- * Expensive routes shed from 75 % pressure on; with
- * config.degradeSweeps, degradable ones are instead admitted
- * degraded from 75 % or config.degradePressure, whichever is lower.
- * Other routes are always admitted.  No randomness and no shared
- * state, so every decision is reproducible from its arguments.
+ * The request-level admission policy for one arriving model query
+ * or ingest snapshot, a pure function of @p route and the server's
+ * @p inflight count against @p maxInflight (0 = no cap): false (shed
+ * with 503 + Retry-After) for an Expensive route from 75 % pressure
+ * on, true otherwise.  No randomness and no shared state, so every
+ * decision is reproducible from its arguments.
  */
-AdmitDecision admit(const Route &route, unsigned inflight,
-                    const ServerConfig &config);
+bool admit(const Route &route, unsigned inflight, unsigned maxInflight);
 
 } // namespace bwwall
 

@@ -44,18 +44,14 @@ resolveIoShards(unsigned requested)
 } // namespace
 
 /**
- * One model query's admission decision, parsed body, and cache key:
- * worked out once, on the io shard, and handed to the compute pool
- * with the request whenever the shard does not answer it.
+ * One admitted model query's parsed body and cache key: worked out
+ * once, on the io shard, and handed to the compute pool with the
+ * request whenever the shard does not answer it.
  */
 struct BwwallServer::ModelQuery final : HttpReactor::Prepared
 {
-    AdmitDecision decision = AdmitDecision::Admit;
     JsonValue body;
     std::string key;
-
-    /** The body was reduced to a degraded sweep. */
-    bool degraded = false;
 
     /** Another node's fill RPC (X-BWWall-Peer-Fill). */
     bool peerFill = false;
@@ -304,8 +300,7 @@ BwwallServer::prepareModelQuery(const HttpRequest &request,
                                 ModelQuery *query,
                                 HttpResponse *answer)
 {
-    query->decision = admit(route, inflight, config_);
-    if (query->decision == AdmitDecision::Shed) {
+    if (!admit(route, inflight, config_.maxInflight)) {
         *answer = shedResponse();
         return true;
     }
@@ -332,15 +327,6 @@ BwwallServer::prepareModelQuery(const HttpRequest &request,
         return true;
     }
 
-    if (query->decision == AdmitDecision::AdmitDegraded) {
-        // Only the degradable route (/v1/sweep) is admitted degraded.
-        // The transformed body is also the cache key, so degraded
-        // and full-resolution answers never collide in the cache.
-        query->degraded = degradeSweepRequest(&query->body);
-        if (query->degraded)
-            metrics_.addCounter("server.degraded");
-    }
-
     const double server_deadline =
         static_cast<double>(config_.deadlineMs) / 1000.0;
     const double client = clientDeadlineMs(request) / 1000.0;
@@ -354,11 +340,9 @@ BwwallServer::prepareModelQuery(const HttpRequest &request,
     if (query->peerFill)
         metrics_.addCounter("cluster.peer_fill.received");
 
-    // Only a fresh hit for an undegraded admit is answered here; a
-    // stale entry, a miss, and a degraded sweep go on to the compute
-    // step (answerInline() runs a Cheap miss itself).
-    if (query->decision != AdmitDecision::Admit)
-        return false;
+    // Only a fresh hit is answered here; a stale entry and a miss go
+    // on to the compute step (answerInline() runs a Cheap miss
+    // itself).
     std::shared_ptr<const CachedResponse> hit;
     {
         Span cache_span("server.cache");
@@ -371,7 +355,7 @@ BwwallServer::prepareModelQuery(const HttpRequest &request,
         *answer = deadlineExceeded();
     } else {
         metrics_.addCounter("server.inline_hits");
-        *answer = cachedResponse(*hit, *query, false, false);
+        *answer = cachedResponse(*hit, false, false);
     }
     return true;
 }
@@ -409,7 +393,6 @@ BwwallServer::answerInline(
             // A Cheap miss computes in microseconds: the shard runs
             // it unless that would wait on a flight or a peer.
             if (route->cost != RouteCost::Cheap ||
-                query->decision != AdmitDecision::Admit ||
                 !handleModelQuery(request, received, *query, true,
                                   response)) {
                 *prepared = std::move(query);
@@ -439,8 +422,7 @@ BwwallServer::deadlineExceeded()
 }
 
 HttpResponse
-BwwallServer::cachedResponse(const CachedResponse &cached,
-                             const ModelQuery &query, bool stale,
+BwwallServer::cachedResponse(const CachedResponse &cached, bool stale,
                              bool peer_filled)
 {
     HttpResponse response;
@@ -453,8 +435,6 @@ BwwallServer::cachedResponse(const CachedResponse &cached,
     }
     if (peer_filled)
         response.headers[kPeerFilledHeader] = std::string("1");
-    if (query.degraded)
-        response.headers["X-BWWall-Degraded"] = std::string("1");
     return response;
 }
 
@@ -534,8 +514,8 @@ BwwallServer::handleModelQuery(const HttpRequest &request,
                                  : "server.cache_miss");
         *response = query.pastDeadline(received)
                         ? deadlineExceeded()
-                        : cachedResponse(*outcome.response, query,
-                                         outcome.stale, peer_filled);
+                        : cachedResponse(*outcome.response, outcome.stale,
+                                         peer_filled);
     } catch (const BadRequest &e) {
         *response = httpErrorResponseFor(
             {ErrorCategory::InvalidInput, e.what()});
@@ -588,21 +568,10 @@ BwwallServer::handleIngestSession(const HttpRequest &request,
     try {
         if (request.method == "DELETE")
             return ingest_->finalize(id);
-        // GET/HEAD snapshots go through overload admission;
-        // degraded service drops curve resolution.
-        const AdmitDecision decision =
-            admit(route, inflight, config_);
-        if (decision == AdmitDecision::Shed)
+        // GET snapshots go through overload admission.
+        if (!admit(route, inflight, config_.maxInflight))
             return shedResponse();
-        const bool degraded =
-            decision == AdmitDecision::AdmitDegraded;
-        HttpResponse response = ingest_->snapshot(id, degraded);
-        if (degraded && response.status == 200) {
-            metrics_.addCounter("server.degraded");
-            response.headers["X-BWWall-Degraded"] =
-                std::string("1");
-        }
-        return response;
+        return ingest_->snapshot(id, false);
     } catch (const Errored &e) {
         metrics_.addCounter("server.handler_errors");
         return httpErrorResponseFor(e.error());

@@ -12,24 +12,22 @@
  * flight holds, which compute in microseconds.  Only Expensive
  * misses (sweeps, batches), stale entries, joins of an in-flight
  * key, misses another node owns (a peer fill is network I/O),
- * degraded sweeps, ingest calls, and /v1/trace exports cross a
- * lock-free queue to a compute pool, whose responses come back
- * through a per-shard completion queue — so one daemon holds tens
- * of thousands of concurrent connections instead of one per worker
- * thread, and cheap traffic never leaves its shard.  This
- * layer owns the policy on top: the route table
- * (server/routes.hh) mapping method + path to a handler and a cost
- * class, admission, the model-service handlers, and the result
- * cache.
+ * ingest calls, and /v1/trace exports cross a lock-free queue to a
+ * compute pool, whose responses come back through a per-shard
+ * completion queue — so one daemon holds tens of thousands of
+ * concurrent connections instead of one per worker thread, and
+ * cheap traffic never leaves its shard.  This layer owns the policy
+ * on top: the route table (server/routes.hh) mapping method + path
+ * to a handler and a cost class, admission, the model-service
+ * handlers, and the result cache.
  *
  * Robustness is first-class:
  *  - admission control: beyond --max-connections open sockets or
  *    --max-inflight parsed requests in flight, new arrivals get an
  *    immediate 503 (with a Retry-After hint) and close;
  *  - selective shedding: admit() (server/routes.hh) sheds expensive
- *    endpoints (/v1/sweep, /v1/batch) under inflight pressure while
- *    cheap ones keep serving, and can serve sweeps at reduced
- *    resolution (X-BWWall-Degraded) instead;
+ *    endpoints (/v1/sweep, /v1/batch) and ingest snapshots under
+ *    inflight pressure while cheap ones keep serving;
  *  - stale-while-revalidate: expired cache entries are served
  *    (X-BWWall-Stale) while one request recomputes them;
  *  - error taxonomy: handler failures map through bwwall::Error
@@ -126,15 +124,6 @@ struct ServerConfig
 
     /** Admission limit: parsed requests queued + computing before 503. */
     unsigned maxInflight = 256;
-
-    /** Serve pressed sweeps at reduced resolution instead of 503. */
-    bool degradeSweeps = false;
-
-    /**
-     * Inflight fraction of maxInflight beyond which admitted sweeps
-     * are degraded (with degradeSweeps; 0 degrades every sweep).
-     */
-    double degradePressure = 0.5;
 
     /** Largest accepted request body. */
     std::size_t maxBodyBytes = 1u << 20;
@@ -249,9 +238,9 @@ class BwwallServer
 
     /**
      * Serves one request the io shard handed over (a model query
-     * the shard may not compute: an Expensive or degraded one, a
-     * held flight, a stale entry, a peer fill; a trace export; or
-     * an ingest call) on the compute pool; never throws.
+     * the shard may not compute: an Expensive one, a held flight,
+     * a stale entry, a peer fill; a trace export; or an ingest
+     * call) on the compute pool; never throws.
      * @param prepared What answerInline() worked out for a model
      *                 query (null for the other routes).
      */
@@ -263,7 +252,7 @@ class BwwallServer
      * The io shard's hook (HttpReactor::InlineFn): answers every
      * request whose answer needs no wait and no I/O right there
      * (/healthz, /metrics, /v1/cluster, 404, 405, any model query
-     * prepareModelQuery() answers, and an Admit-ted Cheap miss that
+     * prepareModelQuery() answers, and an admitted Cheap miss that
      * handleModelQuery() computes on the shard, counted in
      * server.inline_computes); everything else goes to dispatch()
      * on the compute pool, a model query with its prepared state
@@ -301,8 +290,7 @@ class BwwallServer
                           bool on_shard, HttpResponse *response);
 
     /** The response for a cached answer, with its marker headers. */
-    HttpResponse cachedResponse(const CachedResponse &cached,
-                                const ModelQuery &query, bool stale,
+    HttpResponse cachedResponse(const CachedResponse &cached, bool stale,
                                 bool peer_filled);
 
     /** The 504 for an answer that came after the caller's deadline. */
@@ -323,7 +311,7 @@ class BwwallServer
     /** POST /v1/trace/ingest: parse the body, open a session. */
     HttpResponse handleIngestCreate(const HttpRequest &request);
 
-    /** GET/DELETE on /v1/trace/ingest/{id}. */
+    /** GET (snapshot) / DELETE (finalize) on /v1/trace/ingest/{id}. */
     HttpResponse handleIngestSession(const HttpRequest &request,
                                      const Route &route,
                                      unsigned inflight);

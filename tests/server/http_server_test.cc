@@ -7,7 +7,7 @@
  * the wire, /metrics, graceful shutdown, and which requests the io
  * shard answers itself (every request that needs no compute: fresh
  * admitted hits, control routes, errors, sheds) versus hands to the
- * compute pool (misses, stale entries, degraded sweeps).
+ * compute pool (misses, stale entries).
  */
 
 #include <gtest/gtest.h>
@@ -729,36 +729,47 @@ TEST(HttpServerOverloadTest, PressedSweepShedsWhileTrafficIsServed)
     server.stop();
 }
 
-TEST(HttpServerOverloadTest, PressedSweepsAreServedDegraded)
+TEST(HttpServerOverloadTest, PressedIngestSnapshotShedsButFinalizeServes)
 {
     ServerConfig config;
     config.port = 0;
     config.threads = 2;
-    config.degradeSweeps = true;
-    config.degradePressure = 0.0; // degrade every admitted sweep
+    // Every request arrives at full pressure (see above): session
+    // creation is a control route and serves, a GET snapshot is
+    // Expensive and sheds, and a finalize bypasses admission.
+    config.maxInflight = 1;
     BwwallServer server(config);
     server.start();
     {
         HttpClient client("127.0.0.1", server.port());
         HttpClientResponse response;
         std::string error;
-        ASSERT_TRUE(client.perform(
-            {.method = "POST", .target = "/v1/sweep",
-             .body = "{\"kind\":\"scaling\",\"generations\":8}"},
-            &response, &error))
+        ASSERT_TRUE(client.perform({.method = "POST",
+                                    .target = "/v1/trace/ingest",
+                                    .body = "{\"format\":\"text\"}"},
+                                   &response, &error))
             << error;
-        EXPECT_EQ(response.status, 200);
-        EXPECT_EQ(response.headers.at("x-bwwall-degraded"), "1");
-        EXPECT_GE(server.metrics().counter("server.degraded"), 1u);
+        ASSERT_EQ(response.status, 200) << response.body;
+        JsonValue created;
+        ASSERT_TRUE(JsonValue::parse(response.body, &created, &error))
+            << error;
+        const std::string target =
+            "/v1/trace/ingest/" + created.find("id")->asString();
 
-        // Cheap endpoints never carry the degraded marker.
-        ASSERT_TRUE(client.perform(
-            {.method = "POST", .target = "/v1/solve",
-             .body = "{\"alpha\":0.5,\"total_ceas\":32}"},
-            &response, &error))
+        ASSERT_TRUE(client.perform({.target = target}, &response,
+                                   &error))
             << error;
-        EXPECT_EQ(response.status, 200);
-        EXPECT_EQ(response.headers.count("x-bwwall-degraded"), 0u);
+        EXPECT_EQ(response.status, 503);
+        EXPECT_EQ(errorCategoryOf(response.body), "overload");
+        EXPECT_EQ(response.headers.at("retry-after"), "1");
+        EXPECT_EQ(server.metrics().counter("server.shed"), 1u);
+
+        ASSERT_TRUE(client.perform({.method = "DELETE",
+                                    .target = target},
+                                   &response, &error))
+            << error;
+        EXPECT_EQ(response.status, 200) << response.body;
+        EXPECT_EQ(server.metrics().counter("server.shed"), 1u);
     }
     server.stop();
 }
@@ -1060,31 +1071,30 @@ TEST_F(InlineHitTest, StaleEntryIsServedByThePoolAndRevalidatedOnce)
     EXPECT_EQ(counter("cache.revalidations"), 1u);
 }
 
-TEST_F(InlineHitTest, PressedSweepIsDegradedNeverAFullResolutionHit)
+TEST_F(InlineHitTest, PressedSweepShedsEvenWhenCached)
 {
     ServerConfig config;
-    config.degradeSweeps = true;
-    config.degradePressure = 0.0; // every admitted sweep is pressed
+    config.maxInflight = 1; // every sweep is past the expensive mark
     start(config);
-    // The full-resolution answer is already cached.
+    // The answer is already cached...
     const std::string sweep =
         "{\"kind\":\"scaling\",\"generations\":8}";
     JsonValue body;
     ASSERT_TRUE(JsonValue::parse(sweep, &body));
-    const CachedResponse full = executeModelQuery("/v1/sweep", body);
     server_->cache().getOrCompute(
-        canonicalCacheKey("/v1/sweep", body), [&] { return full; });
+        canonicalCacheKey("/v1/sweep", body),
+        [&] { return executeModelQuery("/v1/sweep", body); });
 
+    // ...but admission runs before the cache probe, so the pressed
+    // sweep sheds instead of being answered as a hit.
     for (int i = 0; i < 2; ++i) {
         const HttpClientResponse response = post("/v1/sweep", sweep);
-        EXPECT_EQ(response.status, 200);
-        ASSERT_EQ(response.headers.count("x-bwwall-degraded"), 1u)
-            << "request " << i;
-        EXPECT_EQ(response.headers.at("x-bwwall-degraded"), "1");
-        EXPECT_NE(response.body, full.body);
+        EXPECT_EQ(response.status, 503) << "request " << i;
+        EXPECT_EQ(response.headers.at("retry-after"), "1");
     }
     EXPECT_EQ(counter("server.inline_hits"), 0u);
-    EXPECT_EQ(counter("server.degraded"), 2u);
+    EXPECT_EQ(counter("server.shed"), 2u);
+    EXPECT_EQ(counter("cache.hits"), 0u);
 }
 
 TEST_F(InlineHitTest, NoComputeRequestsAnswerWhileEveryComputeThreadIsBlocked)

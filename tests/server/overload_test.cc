@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the request-level admission policy: the route table's
- * cost classes, and admit()'s pressure-based degradation and
- * shedding of expensive endpoints.
+ * cost classes, and admit()'s pressure-based shedding of expensive
+ * endpoints.
  */
 
 #include <gtest/gtest.h>
@@ -25,60 +25,28 @@ TEST(OverloadTest, SweepAndBatchAreTheExpensiveClass)
     EXPECT_EQ(findRoute("/v1/solve")->cost, RouteCost::Cheap);
 }
 
-TEST(OverloadTest, OnlySweepsAreDegradable)
-{
-    EXPECT_TRUE(kSweep.degradable);
-    // Degrading a batch would rewrite its member requests, so the
-    // batch endpoint sheds under pressure instead.
-    EXPECT_FALSE(kBatch.degradable);
-    EXPECT_FALSE(kTraffic.degradable);
-}
-
 TEST(OverloadTest, PressedBatchesShedEvenWithDegradationOn)
 {
-    ServerConfig config;
-    config.maxInflight = 100;
-    config.degradeSweeps = true;
-    config.degradePressure = 0.5;
-    // Sweeps degrade under pressure; batches (expensive but not
-    // degradable) shed at the expensive-pressure mark instead.
-    EXPECT_EQ(admit(kSweep, 80, config),
-              AdmitDecision::AdmitDegraded);
-    EXPECT_EQ(admit(kBatch, 80, config), AdmitDecision::Shed);
-    EXPECT_EQ(admit(kBatch, 50, config), AdmitDecision::Admit);
+    // Batches shed at the expensive-pressure mark like sweeps; no
+    // setting turns expensive routes into a degraded admit.
+    EXPECT_FALSE(admit(kBatch, 80, 100));
+    EXPECT_TRUE(admit(kBatch, 50, 100));
 }
 
 TEST(OverloadTest, IdleServerAdmitsEverything)
 {
-    const ServerConfig config;
-    EXPECT_EQ(admit(kSweep, 0, config), AdmitDecision::Admit);
-    EXPECT_EQ(admit(kTraffic, 0, config), AdmitDecision::Admit);
+    const unsigned max_inflight = ServerConfig().maxInflight;
+    EXPECT_TRUE(admit(kSweep, 0, max_inflight));
+    EXPECT_TRUE(admit(kTraffic, 0, max_inflight));
 }
 
 TEST(OverloadTest, PressureShedsExpensiveBeforeCheap)
 {
-    ServerConfig config;
-    config.maxInflight = 100;
-    // 80 % pressure is past the expensive mark but cheap work and
-    // lighter loads still flow.
-    EXPECT_EQ(admit(kSweep, 80, config), AdmitDecision::Shed);
-    EXPECT_EQ(admit(kTraffic, 80, config), AdmitDecision::Admit);
-    EXPECT_EQ(admit(kSweep, 50, config), AdmitDecision::Admit);
-}
-
-TEST(OverloadTest, DegradationReplacesPressureShedding)
-{
-    ServerConfig config;
-    config.maxInflight = 100;
-    config.degradeSweeps = true;
-    config.degradePressure = 0.5;
-    EXPECT_EQ(admit(kSweep, 80, config),
-              AdmitDecision::AdmitDegraded);
-    EXPECT_EQ(admit(kSweep, 50, config),
-              AdmitDecision::AdmitDegraded);
-    EXPECT_EQ(admit(kSweep, 10, config), AdmitDecision::Admit);
-    // Cheap endpoints never degrade.
-    EXPECT_EQ(admit(kTraffic, 80, config), AdmitDecision::Admit);
+    // 80 % pressure is past the expensive mark (75 %) but cheap work
+    // and lighter loads still flow.
+    EXPECT_FALSE(admit(kSweep, 80, 100));
+    EXPECT_TRUE(admit(kTraffic, 80, 100));
+    EXPECT_TRUE(admit(kSweep, 50, 100));
 }
 
 } // namespace
