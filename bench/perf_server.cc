@@ -54,8 +54,10 @@
 #include "server/http_client.hh"
 #include "server/reactor.hh"
 #include "server/server.hh"
+#include "trace/hashing.hh"
 #include "util/fault.hh"
 #include "util/logging.hh"
+#include "util/number_text.hh"
 
 namespace bwwall {
 namespace {
@@ -266,13 +268,10 @@ struct ChaosResult
     std::uint64_t requests = 0;
     std::uint64_t transportErrors = 0;
     std::uint64_t ok = 0;
-    std::uint64_t staleServed = 0;
     std::uint64_t shed = 0;
     /**
-     * Injected faults answered deliberately: a faulted 500 or a 424
-     * the client saw, plus failed revalidations the server answered
-     * with their stale entry (counted server-side; the client sees
-     * a stale 200).
+     * Injected faults answered deliberately: a faulted 500, a 424,
+     * or the 400 of a request stream corrupted mid-read.
      */
     std::uint64_t faulted = 0;
     std::uint64_t deadlineExceeded = 0;
@@ -281,10 +280,32 @@ struct ChaosResult
     std::vector<double> latencies;
 };
 
+/** One chaos round in this many sends fresh cheap bodies. */
+constexpr std::uint64_t kFreshChaosRounds = 16;
+
+/**
+ * A /v1/traffic or /v1/solve body no other request of the storm
+ * sends: its alpha is drawn from a stream seeded like the fault plan
+ * (7), keyed by @p index, so the key misses and its compute runs
+ * under the armed cache.compute and model.solve fault points.
+ */
+std::string
+freshChaosBody(bool solve, std::uint64_t index)
+{
+    const double unit =
+        static_cast<double>(mix64(7, index) >> 11) * 0x1.0p-53;
+    std::string body = solve ? "{\"total_ceas\":32,\"alpha\":"
+                             : "{\"cores\":16,\"total_ceas\":32,"
+                               "\"alpha\":";
+    appendDoubleText(body, 0.3 + 0.4 * unit, "null");
+    body += '}';
+    return body;
+}
+
 /**
  * Fault-tolerant closed loop: every response is classified rather
  * than asserted.  Deliberate outcomes under an armed fault plan are
- * 200 (possibly stale), 503 sheds, 424 solver faults, 500
+ * 200, 503 sheds, 424 solver faults, 500
  * bodies naming category "faulted", and 504 deadline misses;
  * anything else counts as unexpected and fails the chaos gate.
  */
@@ -316,12 +337,16 @@ runChaos(std::uint16_t port, unsigned threads,
                     next.fetch_add(1, std::memory_order_relaxed);
                 // Mostly cheap traffic queries, with solves (the
                 // model.solve point) and sweeps (the expensive
-                // endpoint class) under fire too.
+                // endpoint class) under fire too.  The cheap bodies
+                // hit, except in fresh rounds, whose misses keep the
+                // compute-side fault points firing after warm-up.
                 const std::uint64_t turn = index % 8;
                 const bool sweep = turn == 7;
                 const bool solve = turn == 5 || turn == 6;
+                const bool fresh = (index / 8) % kFreshChaosRounds == 0;
                 probe.body =
                     sweep ? sweepBodies[index % sweepBodies.size()]
+                    : fresh ? freshChaosBody(solve, index)
                     : solve
                         ? solveBodies[index % solveBodies.size()]
                         : trafficBodies[index %
@@ -344,8 +369,6 @@ runChaos(std::uint16_t port, unsigned threads,
                 switch (response.status) {
                   case 200:
                     ++mine.ok;
-                    if (response.headers.count("x-bwwall-stale"))
-                        ++mine.staleServed;
                     break;
                   case 400:
                     // An injected http.read fault corrupts the
@@ -393,7 +416,6 @@ runChaos(std::uint16_t port, unsigned threads,
         result.requests += mine.requests;
         result.transportErrors += mine.transportErrors;
         result.ok += mine.ok;
-        result.staleServed += mine.staleServed;
         result.shed += mine.shed;
         result.faulted += mine.faulted;
         result.deadlineExceeded += mine.deadlineExceeded;
@@ -431,7 +453,7 @@ main(int argc, char **argv)
                      "capacity phase (default 512, quick 256)");
     parser.addFlag("--chaos", &chaos,
                    "drive the server under an armed fault plan and "
-                   "report shed/stale/faulted rates instead of the "
+                   "report shed and faulted rates instead of the "
                    "throughput phases");
     // scripts/reproduce_all.sh treats every perf_* binary as a
     // google-benchmark main and passes --benchmark_min_time in
@@ -473,12 +495,6 @@ main(int argc, char **argv)
     config.port = 0;
     config.threads = threads;
     config.deadlineMs = 0;
-    if (chaos) {
-        // Short TTL + stale window: the chaos loop exercises stale
-        // serving and revalidation alongside the faults.
-        config.cacheTtlSeconds = 0.25;
-        config.cacheStaleSeconds = 10.0;
-    }
     BwwallServer server(config);
 
     if (chaos) {
@@ -517,12 +533,6 @@ main(int argc, char **argv)
                      chaos_sweeps, seconds);
         server.stop();
         uninstallFaults();
-        // A compute fault on a revalidation inside the stale window
-        // reaches the client as a stale 200, so only the server can
-        // count it.
-        const std::uint64_t absorbed =
-            server.metrics().counter("cache.revalidation_failures");
-        storm.faulted += absorbed;
 
         const double p99_ms =
             latencyQuantile(storm.latencies, 0.99) * 1e3;
@@ -531,18 +541,19 @@ main(int argc, char **argv)
                 ? static_cast<double>(storm.shed) /
                       static_cast<double>(storm.requests)
                 : 0.0;
-        const double stale_rate =
-            storm.ok > 0 ? static_cast<double>(storm.staleServed) /
-                               static_cast<double>(storm.ok)
-                         : 0.0;
         std::cout << "chaos: " << storm.requests << " requests in "
-                  << storm.seconds << " s: " << storm.ok
-                  << " ok (" << storm.staleServed << " stale), "
+                  << storm.seconds << " s: " << storm.ok << " ok, "
                   << storm.shed << " shed, " << storm.faulted
-                  << " faulted (" << absorbed << " answered stale), "
-                  << storm.transportErrors
+                  << " faulted, " << storm.transportErrors
                   << " transport errors, " << storm.unexpected
-                  << " unexpected, p99 " << p99_ms << " ms\n";
+                  << " unexpected, p99 " << p99_ms
+                  << " ms; " << server.metrics().counter("cache.misses")
+                  << " misses, fired cache.compute "
+                  << server.metrics().counter(
+                         "faults.fired.cache.compute")
+                  << ", model.solve "
+                  << server.metrics().counter("faults.fired.model.solve")
+                  << "\n";
 
         MetricsRegistry metrics;
         metrics.setGauge("perf_server.chaos.threads",
@@ -550,8 +561,6 @@ main(int argc, char **argv)
         metrics.addCounter("perf_server.chaos.requests",
                            storm.requests);
         metrics.addCounter("perf_server.chaos.ok", storm.ok);
-        metrics.addCounter("perf_server.chaos.stale_served",
-                           storm.staleServed);
         metrics.addCounter("perf_server.chaos.shed", storm.shed);
         metrics.addCounter("perf_server.chaos.faulted",
                            storm.faulted);
@@ -562,8 +571,6 @@ main(int argc, char **argv)
         metrics.addCounter("perf_server.chaos.unexpected_5xx",
                            storm.unexpected);
         metrics.setGauge("perf_server.chaos.shed_rate", shed_rate);
-        metrics.setGauge("perf_server.chaos.stale_rate",
-                         stale_rate);
         metrics.setGauge("perf_server.chaos.p99_ms", p99_ms);
         emitMetricsJson(metrics, options);
         return storm.unexpected == 0 ? 0 : 1;

@@ -37,8 +37,6 @@ main(int argc, char **argv)
     std::uint64_t max_connections = 16384;
     std::uint64_t cache_mb = 64;
     std::uint64_t shards = 16;
-    double ttl_seconds = 0.0;
-    double stale_seconds = 0.0;
     std::uint64_t deadline_ms = 10000;
     std::uint64_t idle_timeout_ms = 5000;
     std::uint64_t max_inflight = 256;
@@ -79,11 +77,6 @@ main(int argc, char **argv)
                      "result-cache byte budget");
     parser.addOption("--shards", &shards, "N",
                      "result-cache shards");
-    parser.addOption("--ttl-seconds", &ttl_seconds, "S",
-                     "result-cache TTL (0 = never expires)");
-    parser.addOption("--stale-seconds", &stale_seconds, "S",
-                     "serve expired entries this long while one "
-                     "request revalidates (0 = off)");
     parser.addOption("--deadline-ms", &deadline_ms, "MS",
                      "per-request deadline (0 = none)");
     parser.addOption("--idle-timeout-ms", &idle_timeout_ms, "MS",
@@ -163,8 +156,6 @@ main(int argc, char **argv)
     config.cacheBytes =
         static_cast<std::size_t>(cache_mb) << 20;
     config.cacheShards = static_cast<std::size_t>(shards);
-    config.cacheTtlSeconds = ttl_seconds;
-    config.cacheStaleSeconds = stale_seconds;
     config.deadlineMs = static_cast<unsigned>(deadline_ms);
     config.idleTimeoutMs = static_cast<unsigned>(idle_timeout_ms);
     config.maxInflight = static_cast<unsigned>(max_inflight);

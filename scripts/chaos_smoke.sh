@@ -4,7 +4,7 @@
 # Usage: scripts/chaos_smoke.sh BWWALLD_BINARY [CLIENT_BINARY]
 #
 # Starts the daemon with --faults arming every wired fault point at
-# >= 1 % (plus stale serving), hammers it with a mixed curl
+# >= 1 %, hammers it with a mixed curl
 # workload, and asserts the robustness contract:
 # the process never crashes, every response carries a deliberate
 # status (200/400/424/500/503/504 — nothing else), no request hangs,
@@ -48,8 +48,7 @@ plan="$plan;model.solve=prob:0.05"
 plan="$plan;ingest.append=prob:0.2"
 plan="$plan;ingest.snapshot=prob:0.1"
 
-"$bwwalld" --port 0 --threads 4 --ttl-seconds 0.2 \
-    --stale-seconds 30 \
+"$bwwalld" --port 0 --threads 4 \
     --max-sessions 8 --max-session-bytes 65536 \
     --ingest-ttl-seconds 30 \
     --faults "$plan" \
@@ -80,14 +79,19 @@ echo "== chaos bwwalld up on port $port (plan: $plan)"
 rounds=60
 : >"$work/statuses.txt"
 for i in $(seq 1 "$rounds"); do
-    # Distinct bodies each round so most requests miss the cache and
-    # exercise the compute-side fault points (cache.compute,
-    # model.solve); round 1's bodies repeat so hits and stale serves
-    # happen too.
+    # Distinct solve, traffic and batch bodies every round (the
+    # second pass of 30 rounds moves alpha), so they miss the cache
+    # and exercise the compute-side fault points (cache.compute,
+    # model.solve).  The first pass's 4 sweep bodies repeat, so hits
+    # happen too; the second pass sends a fresh sweep each round.
     n=$((i % 30))
-    solve="{\"alpha\":0.5,\"total_ceas\":$((32 + n))}"
-    traffic="{\"cores\":$((8 + n)),\"alpha\":0.5,\"total_ceas\":32}"
+    alpha="0.$((5 + (i - 1) / 30))"
+    solve="{\"alpha\":$alpha,\"total_ceas\":$((32 + n))}"
+    traffic="{\"cores\":$((8 + n)),\"alpha\":$alpha,\"total_ceas\":32}"
     sweep="{\"kind\":\"scaling\",\"generations\":$((2 + n % 4))}"
+    if [ "$i" -gt 30 ]; then
+        sweep="{\"kind\":\"scaling\",\"alpha\":0.$((60 + n)),\"generations\":$((2 + n % 4))}"
+    fi
     batch="{\"requests\":[{\"path\":\"/v1/solve\",\"body\":$solve},{\"path\":\"/v1/traffic\",\"body\":$traffic}]}"
     pids=()
     for spec in "/v1/solve $solve" "/v1/traffic $traffic" \

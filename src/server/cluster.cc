@@ -440,11 +440,9 @@ Cluster::fillFromPeer(const std::string &peer,
         return false;
     }
     notePeerSuccess(peer);
-    if (response.status != 200 ||
-        response.headers.count("x-bwwall-stale") != 0) {
-        // The owner refused (shed, deadline, error) or answered
-        // in a form a direct solve would not produce; fall back to
-        // a local compute rather than cache non-canonical bytes.
+    if (response.status != 200) {
+        // The owner refused (shed, deadline, error); fall back to
+        // a local compute.
         count("cluster.peer_fill.rejected");
         return false;
     }

@@ -21,8 +21,8 @@
  * X-BWWall-Peer-Fill is answered locally, never re-forwarded, no
  * matter what the receiver's map says.  A fill is therefore at
  * most one hop even when members briefly disagree about
- * membership, and any fill failure (owner down, slow, shedding,
- * stale) falls back to a local compute — the cluster
+ * membership, and any fill failure (owner down, slow, shedding)
+ * falls back to a local compute — the cluster
  * degrades to N independent caches, never to an error.
  */
 
@@ -223,9 +223,7 @@ class Cluster
      * @p path, marked with kPeerFillHeader, under the stricter of
      * the configured peer deadline and @p remainingSeconds
      * (negative = no caller bound).  Returns true only for a
-     * fresh 200 — a stale (X-BWWall-Stale) answer is rejected so
-     * the local cache never adopts bytes a direct solve would not
-     * produce.
+     * 200, so the local cache adopts only the owner's answer.
      * On success *out holds the peer's canonical response with the
      * kPeerFilledHeader marker added.
      */

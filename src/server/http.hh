@@ -64,7 +64,8 @@ struct HttpResponse
     std::string body;
 
     /**
-     * Extra response headers (Retry-After, X-BWWall-Stale, ...),
+     * Extra response headers (Retry-After, X-BWWall-Peer-Filled,
+     * ...),
      * serialized verbatim after the framing headers.
      */
     std::map<std::string, std::string> headers;

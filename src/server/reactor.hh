@@ -15,7 +15,7 @@
  *    inline hook sees each parsed request first.  The hook may
  *    answer it right there on the shard, with no queue hop and no
  *    thread wake; bwwalld answers every request that needs no
- *    compute and no I/O this way (fresh cache hits, health probes,
+ *    compute and no I/O this way (cache hits, health probes,
  *    metrics scrapes, 4xx errors, sheds).
  *  - Every request the hook declines goes to a compute pool over a
  *    lock-free MPMC queue (an eventfd semaphore carries the

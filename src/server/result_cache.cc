@@ -121,13 +121,6 @@ ResultCache::ResultCache(const ResultCacheConfig &config,
     const std::size_t shards = std::max<std::size_t>(
         config.shardCount, 1);
     shardBudget_ = config.maxBytes / shards;
-    if (config.ttlSeconds > 0.0)
-        ttl_ = std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::duration<double>(config.ttlSeconds));
-    if (config.staleSeconds > 0.0)
-        stale_ =
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::duration<double>(config.staleSeconds));
     shards_.reserve(shards);
     for (std::size_t i = 0; i < shards; ++i)
         shards_.push_back(std::make_unique<Shard>());
@@ -159,7 +152,7 @@ ResultCache::insertLocked(
     const std::size_t bytes = entryBytes(key, *response);
     if (shardBudget_ == 0 || bytes > shardBudget_)
         return; // would never fit; serve uncached
-    // A revalidation replaces the stale entry it left in place.
+    // A snapshot loaded into a warm cache may repeat a key.
     const auto existing = shard.entries.find(key);
     if (existing != shard.entries.end())
         eraseLocked(shard, existing);
@@ -175,8 +168,6 @@ ResultCache::insertLocked(
     entry.response = std::move(response);
     entry.lruIt = shard.lru.begin();
     entry.bytes = bytes;
-    if (ttl_.count() > 0)
-        entry.expiry = Clock::now() + ttl_;
     shard.bytes += bytes;
     totalBytes_ += bytes;
     totalEntries_ += 1;
@@ -184,22 +175,12 @@ ResultCache::insertLocked(
 }
 
 std::shared_ptr<const CachedResponse>
-ResultCache::freshHitLocked(Shard &shard, Entry &entry,
-                            Clock::time_point now)
+ResultCache::hitLocked(Shard &shard, Entry &entry)
 {
-    if (ttl_.count() > 0 && now >= entry.expiry)
-        return nullptr;
     shard.lru.splice(shard.lru.begin(), shard.lru, entry.lruIt);
     if (metrics_ != nullptr)
         metrics_->addCounter("cache.hits");
     return entry.response;
-}
-
-bool
-ResultCache::pastStaleWindow(const Entry &entry,
-                             Clock::time_point now) const
-{
-    return ttl_.count() > 0 && now >= entry.expiry + stale_;
 }
 
 std::shared_ptr<const CachedResponse>
@@ -210,7 +191,7 @@ ResultCache::getFresh(const std::string &key)
     const auto it = shard.entries.find(key);
     if (it == shard.entries.end())
         return nullptr;
-    return freshHitLocked(shard, it->second, Clock::now());
+    return hitLocked(shard, it->second);
 }
 
 ResultCache::Outcome
@@ -220,39 +201,11 @@ ResultCache::getOrCompute(const std::string &key,
     Shard &shard = shardFor(key);
     std::shared_ptr<Flight> flight;
     bool owner = false;
-    // The expired entry this caller revalidates, if any, and the
-    // end of its stale window: what it serves if the revalidation
-    // fails in time.
-    std::shared_ptr<const CachedResponse> stale_entry;
-    Clock::time_point stale_until{};
     {
         std::unique_lock<std::mutex> lock(shard.mutex);
         const auto it = shard.entries.find(key);
-        if (it != shard.entries.end()) {
-            const auto now = Clock::now();
-            if (auto fresh = freshHitLocked(shard, it->second, now))
-                return {std::move(fresh), true, false, false};
-            if (pastStaleWindow(it->second, now)) {
-                eraseLocked(shard, it);
-                if (metrics_ != nullptr)
-                    metrics_->addCounter("cache.expired");
-            } else if (shard.flights.count(key) != 0) {
-                // A revalidation is already in flight: serve the
-                // expired entry instead of joining it.
-                shard.lru.splice(shard.lru.begin(), shard.lru,
-                                 it->second.lruIt);
-                if (metrics_ != nullptr)
-                    metrics_->addCounter("cache.stale_served");
-                return {it->second.response, true, false, true};
-            } else {
-                // This caller becomes the revalidating flight; the
-                // stale entry stays behind for concurrent callers.
-                stale_entry = it->second.response;
-                stale_until = it->second.expiry + stale_;
-                if (metrics_ != nullptr)
-                    metrics_->addCounter("cache.revalidations");
-            }
-        }
+        if (it != shard.entries.end())
+            return {hitLocked(shard, it->second), true, false};
         // The thread that registers the flight owns the compute;
         // everyone else joins it and waits for the result.
         const auto in_flight = shard.flights.find(key);
@@ -274,8 +227,7 @@ ResultCache::getOrCompute(const std::string &key,
             std::rethrow_exception(flight->error);
         return {flight->response, false, true};
     }
-    return lead(shard, key, flight, compute, std::move(stale_entry),
-                stale_until);
+    return lead(shard, key, flight, compute);
 }
 
 std::optional<ResultCache::Outcome>
@@ -285,30 +237,20 @@ ResultCache::tryCompute(const std::string &key, const Compute &compute)
     std::shared_ptr<Flight> flight;
     {
         std::lock_guard<std::mutex> lock(shard.mutex);
-        const auto it = shard.entries.find(key);
-        if (it != shard.entries.end()) {
-            // A fresh entry is a hit and a stale one is served while
-            // getOrCompute() revalidates it: neither is a miss here.
-            if (!pastStaleWindow(it->second, Clock::now()))
-                return std::nullopt;
-            eraseLocked(shard, it);
-            if (metrics_ != nullptr)
-                metrics_->addCounter("cache.expired");
-        }
-        if (shard.flights.count(key) != 0)
-            return std::nullopt; // joining would wait
+        // An entry is a hit, not a miss; joining a flight would wait.
+        if (shard.entries.count(key) != 0 ||
+            shard.flights.count(key) != 0)
+            return std::nullopt;
         flight = std::make_shared<Flight>();
         shard.flights.emplace(key, flight);
     }
-    return lead(shard, key, flight, compute, nullptr, {});
+    return lead(shard, key, flight, compute);
 }
 
 ResultCache::Outcome
 ResultCache::lead(Shard &shard, const std::string &key,
                   const std::shared_ptr<Flight> &flight,
-                  const Compute &compute,
-                  std::shared_ptr<const CachedResponse> stale_entry,
-                  Clock::time_point stale_until)
+                  const Compute &compute)
 {
     if (metrics_ != nullptr)
         metrics_->addCounter("cache.misses");
@@ -341,17 +283,6 @@ ResultCache::lead(Shard &shard, const std::string &key,
     flight->cv.notify_all();
     publishGauges();
 
-    if (error != nullptr && stale_entry != nullptr &&
-        Clock::now() < stale_until) {
-        // A failed revalidation degrades freshness, not
-        // availability: the stale entry answers, and stays cached
-        // for the next attempt.
-        if (metrics_ != nullptr) {
-            metrics_->addCounter("cache.revalidation_failures");
-            metrics_->addCounter("cache.stale_served");
-        }
-        return {std::move(stale_entry), true, false, true};
-    }
     if (error)
         std::rethrow_exception(error);
     return {std::move(response), false, false};

@@ -3,28 +3,20 @@
  * Sharded memoization cache for model-query responses.
  *
  * Every bwwalld endpoint is a pure function of its canonicalized
- * request, so the serving hot path is a lookup: requests hash to one
- * of N independently locked shards, each shard keeps an LRU list
- * under a byte budget with optional TTL expiry, and *single-flight*
- * deduplication guarantees that concurrent identical requests
- * compute the answer exactly once — late arrivals block on the
- * in-flight computation and share its result instead of piling onto
- * the thread pool with duplicate sweeps.  A caller that must never
+ * request, so the serving hot path is a lookup and a cached answer
+ * never goes out of date: requests hash to one of N independently
+ * locked shards, each shard keeps an LRU list under a byte budget
+ * (its only eviction), and *single-flight* deduplication
+ * guarantees that concurrent identical requests compute the answer
+ * exactly once — late arrivals block on the in-flight computation
+ * and share its result instead of piling onto the thread pool with
+ * duplicate sweeps.  A caller that must never
  * block (bwwalld's io shard) uses tryCompute() instead, which
  * computes a plain miss through the same leader path but declines
- * where getOrCompute() would wait or serve stale.
+ * where getOrCompute() would wait.
  *
  * Only status-200 responses are cached; errors are shared with the
  * waiters of the flight that produced them but never stored.
- *
- * Stale-while-revalidate: with a staleSeconds grace window, an entry
- * past its TTL is not dropped immediately — the first caller to see
- * it becomes the revalidating flight and recomputes, while
- * concurrent callers are served the expired entry (Outcome.stale; the
- * server adds an X-BWWall-Stale header) instead of piling onto the
- * flight.  If the revalidation fails, the stale entry survives for
- * the next attempt, so a transient compute fault degrades freshness
- * instead of availability.
  */
 
 #ifndef BWWALL_SERVER_RESULT_CACHE_HH
@@ -33,8 +25,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <chrono>
 #include <condition_variable>
+#include <exception>
 #include <functional>
 #include <list>
 #include <memory>
@@ -58,7 +50,7 @@ struct CachedResponse
     std::string body;
 };
 
-/** Sizing and expiry of a ResultCache. */
+/** Sizing of a ResultCache. */
 struct ResultCacheConfig
 {
     /** Independently locked shards (rounded up to at least 1). */
@@ -66,19 +58,9 @@ struct ResultCacheConfig
 
     /** Total byte budget across shards (0 disables storage). */
     std::size_t maxBytes = 64u << 20;
-
-    /** Seconds before an entry expires; 0 = never. */
-    double ttlSeconds = 0.0;
-
-    /**
-     * Grace window after expiry during which a stale entry may
-     * still be served while one flight revalidates; 0 disables
-     * stale serving.  Only meaningful with a TTL.
-     */
-    double staleSeconds = 0.0;
 };
 
-/** Sharded LRU + TTL + single-flight response cache. */
+/** Sharded LRU + single-flight response cache. */
 class ResultCache
 {
   public:
@@ -102,12 +84,6 @@ class ResultCache
 
         /** Joined another request's in-flight computation. */
         bool sharedFlight = false;
-
-        /**
-         * Served an expired entry inside the stale window while a
-         * concurrent flight revalidates it.
-         */
-        bool stale = false;
     };
 
     /**
@@ -116,17 +92,15 @@ class ResultCache
      * flight finishes and shares its result (exactly one compute()
      * runs per key at a time).  Exceptions from compute() propagate
      * to the computing caller and every waiter, and nothing is
-     * cached — except that a failed revalidation of an entry still
-     * inside its stale window serves that entry (stale = true,
-     * counted in cache.revalidation_failures) and keeps it.
+     * cached.
      */
     Outcome getOrCompute(const std::string &key,
                          const Compute &compute);
 
     /**
      * getOrCompute() for a caller that must never wait: computes
-     * on this thread only when `key` has no fresh entry, no entry
-     * inside its stale window, and no flight in progress.
+     * on this thread only when `key` has no entry and no flight in
+     * progress.
      * Otherwise it declines — std::nullopt, nothing counted,
      * nothing touched — and the caller hands the key to
      * getOrCompute() elsewhere.  A
@@ -138,11 +112,10 @@ class ResultCache
                                       const Compute &compute);
 
     /**
-     * The fresh entry for `key`, counted and promoted exactly like
-     * a getOrCompute() hit, or nullptr — for a missing or expired
-     * entry, which is left untouched and uncounted for the
-     * getOrCompute() that follows.  Never computes or blocks on a
-     * flight.
+     * The entry for `key`, counted and promoted exactly like a
+     * getOrCompute() hit, or nullptr for a missing entry, which is
+     * left uncounted for the getOrCompute() that follows.  Never
+     * computes or blocks on a flight.
      */
     std::shared_ptr<const CachedResponse>
     getFresh(const std::string &key);
@@ -164,9 +137,10 @@ class ResultCache
      * (write to "<path>.tmp", fsync, rename) so a crash mid-save
      * leaves the previous snapshot intact; loads are all-or-
      * nothing — a truncated, corrupt, or version-mismatched file
-     * is discarded with a reason rather than half-trusted, and
-     * reloaded entries restart their TTL (wall-clock expiry does
-     * not survive a restart).  Counters: cache.persist.saved /
+     * is discarded with a reason rather than half-trusted.  A
+     * snapshot belongs to the build that wrote it: an upgrade that
+     * changes the model's answers must delete it.  Counters:
+     * cache.persist.saved /
      * .loaded (entries) and cache.persist.discarded (files).
      *  @{ */
 
@@ -188,8 +162,6 @@ class ResultCache
     /** @} */
 
   private:
-    using Clock = std::chrono::steady_clock;
-
     /** One request's in-progress computation. */
     struct Flight
     {
@@ -204,7 +176,6 @@ class ResultCache
     {
         std::shared_ptr<const CachedResponse> response;
         std::list<std::string>::iterator lruIt;
-        Clock::time_point expiry{};
         std::size_t bytes = 0;
     };
 
@@ -222,33 +193,24 @@ class ResultCache
     Shard &shardFor(const std::string &key);
 
     /**
-     * Under the shard lock: the entry's response if it has not
-     * expired at @p now, promoted to most recently used and counted
-     * as a hit; nullptr otherwise.
+     * Under the shard lock: the entry's response, promoted to most
+     * recently used and counted as a hit.
      */
     std::shared_ptr<const CachedResponse>
-    freshHitLocked(Shard &shard, Entry &entry, Clock::time_point now);
+    hitLocked(Shard &shard, Entry &entry);
 
     /**
      * The flight owner's half of getOrCompute() and tryCompute():
      * counts the miss, runs compute() (or the injected
      * "cache.compute" fault), caches a 200, and releases the
-     * flight's waiters.  @p stale_entry is the expired entry this
-     * flight revalidates (null for a plain miss): a failure before
-     * @p stale_until answers it instead of rethrowing.
+     * flight's waiters.
      */
     Outcome lead(Shard &shard, const std::string &key,
                  const std::shared_ptr<Flight> &flight,
-                 const Compute &compute,
-                 std::shared_ptr<const CachedResponse> stale_entry,
-                 Clock::time_point stale_until);
+                 const Compute &compute);
 
     /** Sets the cache.bytes and cache.entries gauges. */
     void publishGauges();
-
-    /** @p entry is neither fresh nor servable stale at @p now. */
-    bool pastStaleWindow(const Entry &entry,
-                         Clock::time_point now) const;
 
     /** Inserts under the shard lock, evicting LRU entries as needed. */
     void insertLocked(Shard &shard, const std::string &key,
@@ -260,8 +222,6 @@ class ResultCache
                                         Entry>::iterator it);
 
     std::size_t shardBudget_ = 0;
-    std::chrono::nanoseconds ttl_{0};
-    std::chrono::nanoseconds stale_{0};
     std::vector<std::unique_ptr<Shard>> shards_;
     MetricsRegistry *metrics_ = nullptr;
 

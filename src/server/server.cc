@@ -75,8 +75,6 @@ BwwallServer::BwwallServer(ServerConfig config)
     ResultCacheConfig cache_config;
     cache_config.shardCount = config_.cacheShards;
     cache_config.maxBytes = config_.cacheBytes;
-    cache_config.ttlSeconds = config_.cacheTtlSeconds;
-    cache_config.staleSeconds = config_.cacheStaleSeconds;
     cache_ = std::make_unique<ResultCache>(cache_config,
                                            &metrics_);
     if (!config_.cachePersistPath.empty()) {
@@ -340,9 +338,8 @@ BwwallServer::prepareModelQuery(const HttpRequest &request,
     if (query->peerFill)
         metrics_.addCounter("cluster.peer_fill.received");
 
-    // Only a fresh hit is answered here; a stale entry and a miss go
-    // on to the compute step (answerInline() runs a Cheap miss
-    // itself).
+    // Only a hit is answered here; a miss goes on to the compute
+    // step (answerInline() runs a Cheap miss itself).
     std::shared_ptr<const CachedResponse> hit;
     {
         Span cache_span("server.cache");
@@ -355,7 +352,7 @@ BwwallServer::prepareModelQuery(const HttpRequest &request,
         *answer = deadlineExceeded();
     } else {
         metrics_.addCounter("server.inline_hits");
-        *answer = cachedResponse(*hit, false, false);
+        *answer = cachedResponse(*hit, false);
     }
     return true;
 }
@@ -422,17 +419,13 @@ BwwallServer::deadlineExceeded()
 }
 
 HttpResponse
-BwwallServer::cachedResponse(const CachedResponse &cached, bool stale,
+BwwallServer::cachedResponse(const CachedResponse &cached,
                              bool peer_filled)
 {
     HttpResponse response;
     response.status = cached.status;
     response.contentType = cached.contentType;
     response.body = cached.body;
-    if (stale) {
-        metrics_.addCounter("server.stale_served");
-        response.headers["X-BWWall-Stale"] = std::string("1");
-    }
     if (peer_filled)
         response.headers[kPeerFilledHeader] = std::string("1");
     return response;
@@ -500,8 +493,8 @@ BwwallServer::handleModelQuery(const HttpRequest &request,
         Span cache_span("server.cache");
         ResultCache::Outcome outcome;
         if (on_shard) {
-            // Never wait on the shard: a held flight or a stale entry
-            // goes to the pool, which joins or revalidates it.
+            // Never wait on the shard: a held flight goes to the pool,
+            // which joins it.
             std::optional<ResultCache::Outcome> claimed =
                 cache_->tryCompute(query.key, compute);
             if (!claimed)
@@ -514,8 +507,7 @@ BwwallServer::handleModelQuery(const HttpRequest &request,
                                  : "server.cache_miss");
         *response = query.pastDeadline(received)
                         ? deadlineExceeded()
-                        : cachedResponse(*outcome.response, outcome.stale,
-                                         peer_filled);
+                        : cachedResponse(*outcome.response, peer_filled);
     } catch (const BadRequest &e) {
         *response = httpErrorResponseFor(
             {ErrorCategory::InvalidInput, e.what()});

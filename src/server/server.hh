@@ -7,19 +7,18 @@
  * pool of epoll event-loop shards, and the shard that parsed a
  * request answers it whenever the answer needs no wait and no I/O:
  * /healthz, /metrics, /v1/cluster, 404s and 405s, sheds, malformed
- * bodies, fresh cache hits, and misses on the Cheap routes
- * (/v1/traffic, /v1/solve) that this node computes itself and no
- * flight holds, which compute in microseconds.  Only Expensive
- * misses (sweeps, batches), stale entries, joins of an in-flight
- * key, misses another node owns (a peer fill is network I/O),
- * ingest calls, and /v1/trace exports cross a lock-free queue to a
- * compute pool, whose responses come back through a per-shard
- * completion queue — so one daemon holds tens of thousands of
- * concurrent connections instead of one per worker thread, and
- * cheap traffic never leaves its shard.  This layer owns the policy
- * on top: the route table (server/routes.hh) mapping method + path
- * to a handler and a cost class, admission, the model-service
- * handlers, and the result cache.
+ * bodies, cache hits, and misses on the Cheap routes (/v1/traffic,
+ * /v1/solve) that this node computes itself and no flight holds,
+ * which compute in microseconds.  Only Expensive misses (sweeps,
+ * batches), joins of an in-flight key, misses another node owns
+ * (a peer fill is network I/O), ingest calls, and /v1/trace exports
+ * cross a lock-free queue to a compute pool, whose responses come
+ * back through a per-shard completion queue — so one daemon holds
+ * tens of thousands of concurrent connections instead of one per
+ * worker thread, and cheap traffic never leaves its shard.  This
+ * layer owns the policy on top: the route table (server/routes.hh)
+ * mapping method + path to a handler and a cost class, admission,
+ * the model-service handlers, and the result cache.
  *
  * Robustness is first-class:
  *  - admission control: beyond --max-connections open sockets or
@@ -28,8 +27,6 @@
  *  - selective shedding: admit() (server/routes.hh) sheds expensive
  *    endpoints (/v1/sweep, /v1/batch) and ingest snapshots under
  *    inflight pressure while cheap ones keep serving;
- *  - stale-while-revalidate: expired cache entries are served
- *    (X-BWWall-Stale) while one request recomputes them;
  *  - error taxonomy: handler failures map through bwwall::Error
  *    categories to structured JSON bodies and precise statuses;
  *  - per-request deadline: requests that overrun --deadline-ms
@@ -94,16 +91,6 @@ struct ServerConfig
 
     /** Result-cache shards. */
     std::size_t cacheShards = 16;
-
-    /** Result-cache TTL in seconds (0 = entries never expire). */
-    double cacheTtlSeconds = 0.0;
-
-    /**
-     * Stale-while-revalidate grace after TTL expiry, seconds: an
-     * expired entry may still be served (marked X-BWWall-Stale)
-     * while one request recomputes it.  0 disables stale serving.
-     */
-    double cacheStaleSeconds = 0.0;
 
     /**
      * Warm-restart snapshot of the result cache (empty = off).
@@ -281,16 +268,16 @@ class BwwallServer
      * *response: a peer fill for a key another node owns, else the
      * compute, with the deadline 504 and the error taxonomy.  On the
      * io shard (@p on_shard) it never waits: it returns false with
-     * nothing counted when the answer needs a peer fill, a held
-     * flight, or a stale entry's revalidation (ResultCache::
-     * tryCompute()), and the query goes to the pool instead.
+     * nothing counted when the answer needs a peer fill or a held
+     * flight (ResultCache::tryCompute()), and the query goes to the
+     * pool instead.
      */
     bool handleModelQuery(const HttpRequest &request,
                           Clock::time_point received, ModelQuery &query,
                           bool on_shard, HttpResponse *response);
 
     /** The response for a cached answer, with its marker headers. */
-    HttpResponse cachedResponse(const CachedResponse &cached, bool stale,
+    HttpResponse cachedResponse(const CachedResponse &cached,
                                 bool peer_filled);
 
     /** The 504 for an answer that came after the caller's deadline. */

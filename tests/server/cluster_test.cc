@@ -305,7 +305,7 @@ TEST_F(ClusterWireTest, PeerFillIsByteIdenticalAndCounted)
 TEST_F(ClusterWireTest, FillAnsweredFromTheOwnersCacheIsCounted)
 {
     // The owner already holds the key, so its io shard answers the
-    // fill RPC as a fresh hit; the fill still counts as received.
+    // fill RPC as a cache hit; the fill still counts as received.
     const std::string body = bodyOwnedBy(*a_, selfB_);
     HttpClient clientB("127.0.0.1", b_->port());
     HttpClientResponse owned;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the sharded result cache: hit/miss accounting, LRU
- * eviction under the byte budget, TTL expiry, error pass-through,
+ * eviction under the byte budget, error pass-through,
  * the single-flight guarantee (concurrent identical requests
  * compute exactly once), the running byte and entry totals, and
  * tryCompute(), the entry point that never waits.
@@ -158,25 +158,6 @@ TEST(ResultCacheTest, ZeroBudgetDisablesStorageButStillServes)
     EXPECT_EQ(cache.entryCount(), 0u);
 }
 
-TEST(ResultCacheTest, TtlExpiresEntries)
-{
-    ResultCacheConfig config;
-    config.ttlSeconds = 0.05;
-    MetricsRegistry metrics;
-    ResultCache cache(config, &metrics);
-
-    cache.getOrCompute("k", [&] { return responseOf("v1"); });
-    EXPECT_TRUE(
-        cache.getOrCompute("k", [&] { return responseOf("v2"); })
-            .hit);
-    std::this_thread::sleep_for(std::chrono::milliseconds(80));
-    const ResultCache::Outcome after = cache.getOrCompute(
-        "k", [&] { return responseOf("v2"); });
-    EXPECT_FALSE(after.hit);
-    EXPECT_EQ(after.response->body, "v2");
-    EXPECT_GE(metrics.counter("cache.expired"), 1u);
-}
-
 TEST(ResultCacheTest, ErrorResponsesAreNeverCached)
 {
     ResultCache cache(ResultCacheConfig{});
@@ -323,161 +304,6 @@ TEST(ResultCacheTest, ExceptionReachesEveryFlightWaiter)
     EXPECT_EQ(cache.entryCount(), 0u);
 }
 
-TEST(ResultCacheTest, StaleWindowServesExpiredWhileRevalidating)
-{
-    ResultCacheConfig config;
-    config.shardCount = 1;
-    config.ttlSeconds = 0.03;
-    config.staleSeconds = 10.0;
-    MetricsRegistry metrics;
-    ResultCache cache(config, &metrics);
-
-    cache.getOrCompute("k", [] { return responseOf("v1"); });
-    std::this_thread::sleep_for(std::chrono::milliseconds(60));
-
-    // The first caller to see the expired entry becomes the
-    // revalidating flight; gate its compute so a concurrent caller
-    // is guaranteed to arrive while it is still in flight.
-    std::mutex gate_mutex;
-    std::condition_variable gate_cv;
-    std::atomic<bool> computing{false};
-    bool release = false;
-    std::thread revalidator([&] {
-        const ResultCache::Outcome fresh = cache.getOrCompute(
-            "k", [&] {
-                computing.store(true);
-                std::unique_lock<std::mutex> lock(gate_mutex);
-                gate_cv.wait(lock, [&] { return release; });
-                return responseOf("v2");
-            });
-        EXPECT_EQ(fresh.response->body, "v2");
-        EXPECT_FALSE(fresh.stale);
-    });
-    while (!computing.load())
-        std::this_thread::yield();
-
-    // The concurrent caller is served the expired entry instead of
-    // blocking on the flight.
-    const ResultCache::Outcome stale = cache.getOrCompute(
-        "k", [] { return responseOf("never"); });
-    EXPECT_TRUE(stale.hit);
-    EXPECT_TRUE(stale.stale);
-    EXPECT_EQ(stale.response->body, "v1");
-
-    {
-        std::lock_guard<std::mutex> lock(gate_mutex);
-        release = true;
-    }
-    gate_cv.notify_all();
-    revalidator.join();
-
-    EXPECT_GE(metrics.counter("cache.stale_served"), 1u);
-    EXPECT_GE(metrics.counter("cache.revalidations"), 1u);
-
-    // Revalidation replaced the entry: the next lookup is fresh.
-    const ResultCache::Outcome after = cache.getOrCompute(
-        "k", [] { return responseOf("never"); });
-    EXPECT_TRUE(after.hit);
-    EXPECT_FALSE(after.stale);
-    EXPECT_EQ(after.response->body, "v2");
-}
-
-TEST(ResultCacheTest, FailedRevalidationKeepsTheStaleEntry)
-{
-    ResultCacheConfig config;
-    config.shardCount = 1;
-    config.ttlSeconds = 0.03;
-    config.staleSeconds = 10.0;
-    MetricsRegistry metrics;
-    ResultCache cache(config, &metrics);
-
-    cache.getOrCompute("k", [] { return responseOf("v1"); });
-    std::this_thread::sleep_for(std::chrono::milliseconds(60));
-
-    // The revalidation faults; freshness degrades, not
-    // availability: the caller that revalidated gets the stale
-    // entry, not the error.
-    const ResultCache::Outcome failed = cache.getOrCompute(
-        "k", []() -> CachedResponse {
-            throw std::runtime_error("compute fault");
-        });
-    ASSERT_NE(failed.response, nullptr);
-    EXPECT_TRUE(failed.stale);
-    EXPECT_TRUE(failed.hit);
-    EXPECT_EQ(failed.response->body, "v1");
-    EXPECT_EQ(cache.entryCount(), 1u);
-    EXPECT_EQ(metrics.counter("cache.revalidation_failures"), 1u);
-
-    // The surviving stale entry still shields concurrent callers
-    // from the next revalidation attempt.
-    std::atomic<bool> computing{false};
-    std::mutex gate_mutex;
-    std::condition_variable gate_cv;
-    bool release = false;
-    std::thread retry([&] {
-        cache.getOrCompute("k", [&] {
-            computing.store(true);
-            std::unique_lock<std::mutex> lock(gate_mutex);
-            gate_cv.wait(lock, [&] { return release; });
-            return responseOf("v2");
-        });
-    });
-    while (!computing.load())
-        std::this_thread::yield();
-    const ResultCache::Outcome stale = cache.getOrCompute(
-        "k", [] { return responseOf("never"); });
-    EXPECT_TRUE(stale.stale);
-    EXPECT_EQ(stale.response->body, "v1");
-    {
-        std::lock_guard<std::mutex> lock(gate_mutex);
-        release = true;
-    }
-    gate_cv.notify_all();
-    retry.join();
-}
-
-TEST(ResultCacheTest, RevalidationFailingPastTheStaleWindowRethrows)
-{
-    ResultCacheConfig config;
-    config.shardCount = 1;
-    config.ttlSeconds = 0.03;
-    config.staleSeconds = 0.1;
-    ResultCache cache(config);
-
-    cache.getOrCompute("k", [] { return responseOf("v1"); });
-    std::this_thread::sleep_for(std::chrono::milliseconds(60));
-
-    // The entry is inside its window when the revalidation starts
-    // and past it when the revalidation fails: nothing servable is
-    // left, so the caller gets the error.
-    EXPECT_THROW(cache.getOrCompute(
-                     "k",
-                     []() -> CachedResponse {
-                         std::this_thread::sleep_for(
-                             std::chrono::milliseconds(150));
-                         throw std::runtime_error("compute fault");
-                     }),
-                 std::runtime_error);
-}
-
-TEST(ResultCacheTest, HardExpiryBeyondStaleWindowRecomputes)
-{
-    ResultCacheConfig config;
-    config.ttlSeconds = 0.02;
-    config.staleSeconds = 0.02;
-    MetricsRegistry metrics;
-    ResultCache cache(config, &metrics);
-
-    cache.getOrCompute("k", [] { return responseOf("v1"); });
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    const ResultCache::Outcome after = cache.getOrCompute(
-        "k", [] { return responseOf("v2"); });
-    EXPECT_FALSE(after.hit);
-    EXPECT_FALSE(after.stale);
-    EXPECT_EQ(after.response->body, "v2");
-    EXPECT_GE(metrics.counter("cache.expired"), 1u);
-}
-
 /** A counted byte size: key + body + content type + overhead. */
 std::size_t
 entryBytesOf(const std::string &key, const std::string &body)
@@ -486,11 +312,10 @@ entryBytesOf(const std::string &key, const std::string &body)
            std::string("application/json").size() + 128;
 }
 
-TEST(ResultCacheTest, RunningTotalsTrackInsertEvictExpireAndInvalidate)
+TEST(ResultCacheTest, RunningTotalsTrackInsertEvictAndInvalidate)
 {
     ResultCacheConfig config;
     config.shardCount = 1;
-    config.ttlSeconds = 0.05;
     // Room for two of the entries below, not three.
     config.maxBytes = 2 * entryBytesOf("a", "11") + 10;
     MetricsRegistry metrics;
@@ -512,15 +337,6 @@ TEST(ResultCacheTest, RunningTotalsTrackInsertEvictExpireAndInvalidate)
     cache.getOrCompute("c", [] { return responseOf("3"); });
     EXPECT_EQ(metrics.counter("cache.evictions"), 1u);
     expect_totals(2, entryBytesOf("b", "22") + entryBytesOf("c", "3"));
-
-    // An expired entry is erased before its recompute is inserted.
-    std::this_thread::sleep_for(std::chrono::milliseconds(80));
-    cache.getOrCompute("b", [] { return responseOf("2"); });
-    EXPECT_EQ(metrics.counter("cache.expired"), 1u);
-    expect_totals(2, entryBytesOf("b", "2") + entryBytesOf("c", "3"));
-    ASSERT_TRUE(cache.tryCompute("c", [] { return responseOf("33"); }));
-    EXPECT_EQ(metrics.counter("cache.expired"), 2u);
-    expect_totals(2, entryBytesOf("b", "2") + entryBytesOf("c", "33"));
 
     cache.invalidateAll();
     expect_totals(0, 0);
@@ -576,7 +392,7 @@ TEST(ResultCacheTest, TryComputeDeclinesAHeldFlightAndCountsNothing)
     }
     gate_cv.notify_all();
     owner.join();
-    // The flight's own answer landed; a fresh entry declines too.
+    // The flight's own answer landed; an entry declines too.
     EXPECT_EQ(cache.getFresh("k")->body, "owner");
     const std::string settled = metrics.text();
     EXPECT_FALSE(cache.tryCompute("k", [] { return responseOf("x"); }));
@@ -584,40 +400,10 @@ TEST(ResultCacheTest, TryComputeDeclinesAHeldFlightAndCountsNothing)
     EXPECT_EQ(metrics.counter("cache.misses"), 1u);
 }
 
-TEST(ResultCacheTest, TryComputeDeclinesAnEntryInsideItsStaleWindow)
-{
-    ResultCacheConfig config;
-    config.shardCount = 1;
-    config.ttlSeconds = 0.03;
-    config.staleSeconds = 10.0;
-    MetricsRegistry metrics;
-    ResultCache cache(config, &metrics);
-    cache.getOrCompute("k", [] { return responseOf("v1"); });
-    std::this_thread::sleep_for(std::chrono::milliseconds(60));
-
-    const std::string before = metrics.text();
-    bool computed = false;
-    EXPECT_FALSE(cache.tryCompute("k", [&] {
-        computed = true;
-        return responseOf("v2");
-    }));
-    EXPECT_FALSE(computed);
-    EXPECT_EQ(metrics.text(), before);
-    EXPECT_EQ(cache.entryCount(), 1u);
-
-    // Untouched: the next getOrCompute() still finds the stale
-    // entry and revalidates it.
-    const ResultCache::Outcome revalidated =
-        cache.getOrCompute("k", [] { return responseOf("v2"); });
-    EXPECT_EQ(revalidated.response->body, "v2");
-    EXPECT_EQ(metrics.counter("cache.revalidations"), 1u);
-    EXPECT_EQ(metrics.counter("cache.misses"), 2u);
-}
-
 /**
  * One run of claimed misses through getOrCompute() or tryCompute():
  * a success, a non-200, a throw, the injected "cache.compute" fault,
- * evictions, and a recompute past expiry.  Returns each call's
+ * and evictions.  Returns each call's
  * result, then the counters, gauges and totals it left.
  */
 std::string
@@ -625,7 +411,6 @@ claimedMissTranscript(bool try_compute)
 {
     ResultCacheConfig config;
     config.shardCount = 1;
-    config.ttlSeconds = 0.05;
     config.maxBytes = 2 * entryBytesOf("a", "A") + 10;
     MetricsRegistry metrics;
     ResultCache cache(config, &metrics);
@@ -648,7 +433,6 @@ claimedMissTranscript(bool try_compute)
             }
             out << outcome.response->status << ' '
                 << outcome.response->body << " hit=" << outcome.hit
-                << " stale=" << outcome.stale
                 << " shared=" << outcome.sharedFlight << '\n';
         } catch (const Errored &e) {
             out << "errored " << e.what() << '\n';
@@ -672,8 +456,6 @@ claimedMissTranscript(bool try_compute)
     }
     call("e", [] { return responseOf("E"); });
     call("f", [] { return responseOf("F"); });
-    std::this_thread::sleep_for(std::chrono::milliseconds(80));
-    call("f", [] { return responseOf("G"); });
     out << metrics.text() << "entries " << cache.entryCount()
         << " bytes " << cache.sizeBytes() << '\n';
     return out.str();
@@ -687,8 +469,8 @@ TEST(ResultCacheTest, TryComputeMatchesGetOrComputeOnAClaimedMiss)
     for (const char *seen :
          {"a: 200 A hit=0", "b: 500 B", "c: threw boom",
           "d: errored", "injected fault 'cache.compute'",
-          "f: 200 G hit=0", "cache.expired 1", "cache.evictions",
-          "cache.misses 7", "entries 2"})
+          "f: 200 F hit=0", "cache.evictions", "cache.misses 6",
+          "entries 2"})
         EXPECT_NE(reference.find(seen), std::string::npos)
             << seen << " in\n"
             << reference;
@@ -924,28 +706,6 @@ TEST(ResultCacheTest, NonSnapshotFileIsRejectedByMagic)
     EXPECT_FALSE(cache.loadSnapshot(path, &error));
     EXPECT_NE(error.find("magic"), std::string::npos) << error;
     EXPECT_EQ(metrics.counter("cache.persist.discarded"), 1u);
-    std::remove(path.c_str());
-}
-
-TEST(ResultCacheTest, ReloadedEntriesRestartTheirTtl)
-{
-    const std::string path = snapshotPath("ttl");
-    ResultCacheConfig config;
-    config.ttlSeconds = 3600.0;
-    ResultCache cache(config);
-    cache.getOrCompute("key", [] { return responseOf("body"); });
-    std::string error;
-    ASSERT_TRUE(cache.saveSnapshot(path, &error)) << error;
-
-    ResultCache restarted(config);
-    ASSERT_TRUE(restarted.loadSnapshot(path, &error)) << error;
-    // Fresh TTL: the entry is a hit, not instantly expired.
-    EXPECT_TRUE(restarted
-                    .getOrCompute("key",
-                                  [] {
-                                      return responseOf("wrong");
-                                  })
-                    .hit);
     std::remove(path.c_str());
 }
 
