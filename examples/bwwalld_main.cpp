@@ -50,8 +50,6 @@ main(int argc, char **argv)
     std::uint64_t peer_attempts = 2;
     std::uint64_t peer_probe_interval_ms = 1000;
     std::uint64_t peer_failure_threshold = 3;
-    std::string cache_persist_path;
-    double cache_persist_interval_s = 0.0;
     std::string faults;
     std::string metrics_json;
     bool log_requests = false;
@@ -118,16 +116,6 @@ main(int argc, char **argv)
                      &peer_failure_threshold, "N",
                      "consecutive fill failures that eject a "
                      "peer");
-    parser.addOption("--cache-persist-path", &cache_persist_path,
-                     "FILE",
-                     "snapshot the result cache here on drain "
-                     "and load it on boot (warm restart; empty = "
-                     "off)");
-    parser.addOption("--cache-persist-interval-s",
-                     &cache_persist_interval_s, "S",
-                     "also snapshot every S seconds, so a crash "
-                     "loses at most that much warmth (0 = "
-                     "drain-time only)");
     parser.addOption("--faults", &faults, "PLAN",
                      "deterministic fault-injection plan, e.g. "
                      "'seed=7;http.read=prob:0.01' (also via "
@@ -191,8 +179,6 @@ main(int argc, char **argv)
     } else if (!self.empty()) {
         parser.usageError("--self requires --peers");
     }
-    config.cachePersistPath = cache_persist_path;
-    config.cachePersistIntervalS = cache_persist_interval_s;
     config.logRequests = log_requests;
     config.trace = trace || trace_all || !trace_out.empty();
     config.traceAll = trace_all;

@@ -3,7 +3,7 @@
 #
 # Usage: scripts/check_docs.sh [BUILD_DIR]
 #
-# Seven checks keep the docs from drifting away from the code:
+# Eight checks keep the docs from drifting away from the code:
 #   1. every page under docs/ is linked from the README;
 #   2. every relative markdown link (and every docs/X.md mention)
 #      in README.md, DESIGN.md, and docs/ resolves to a real file;
@@ -21,7 +21,11 @@
 #      cannot live on in the docs);
 #   7. every X-BWWall-* header named in README.md, DESIGN.md, or
 #      docs/ appears, case-insensitively, in src/ or examples/ (so a
-#      deleted header cannot live on in the docs).
+#      deleted header cannot live on in the docs);
+#   8. every `--flag` in the --help output of bwwalld and
+#      bwwall_router is mentioned somewhere under docs/ (check 3 in
+#      reverse: an operator can learn every daemon and router flag
+#      from the docs).
 set -euo pipefail
 
 build_dir="${1:-build}"
@@ -163,6 +167,19 @@ while IFS= read -r header; do
     fi
 done < <(grep -ohiE 'x-bwwall-[a-z0-9]+(-[a-z0-9]+)*' "${doc_files[@]}" |
     tr 'A-Z' 'a-z' | sort -u)
+
+# --- 8. every daemon and router flag is documented -------------------
+for binary in examples/bwwalld examples/bwwall_router; do
+    [ -x "$build_dir/$binary" ] || continue # check 3 reported it
+    while IFS= read -r flag; do
+        [ "$flag" = --help ] && continue
+        if ! grep -qE -- "$flag([^a-z0-9-]|\$)" docs/*.md; then
+            fail "flag $flag ($(basename "$binary") --help) is not" \
+                "documented under docs/"
+        fi
+    done < <(timeout 20 "$build_dir/$binary" --help 2>&1 |
+        grep -o '\--[a-z][a-z0-9-]*' | sort -u)
+done
 
 if [ "$failures" -ne 0 ]; then
     echo "check_docs: $failures problem(s)" >&2

@@ -131,36 +131,6 @@ class ResultCache
 
     std::size_t shardCount() const { return shards_.size(); }
 
-    /** @name Crash-safe warm restart
-     * A snapshot is one versioned, checksummed binary file of
-     * every cached entry (docs/SERVER.md).  Saves are atomic
-     * (write to "<path>.tmp", fsync, rename) so a crash mid-save
-     * leaves the previous snapshot intact; loads are all-or-
-     * nothing — a truncated, corrupt, or version-mismatched file
-     * is discarded with a reason rather than half-trusted.  A
-     * snapshot belongs to the build that wrote it: an upgrade that
-     * changes the model's answers must delete it.  Counters:
-     * cache.persist.saved /
-     * .loaded (entries) and cache.persist.discarded (files).
-     *  @{ */
-
-    /**
-     * Writes every cached entry to @p path, LRU order preserved.
-     * Returns false with *error set on I/O failure.
-     */
-    bool saveSnapshot(const std::string &path,
-                      std::string *error = nullptr) const;
-
-    /**
-     * Restores entries from @p path into the (typically empty)
-     * cache, under the normal byte budget.  A missing file is a
-     * fresh boot: success with nothing loaded.  Returns false with
-     * *error naming the defect when the file is discarded.
-     */
-    bool loadSnapshot(const std::string &path,
-                      std::string *error = nullptr);
-    /** @} */
-
   private:
     /** One request's in-progress computation. */
     struct Flight

@@ -77,21 +77,6 @@ BwwallServer::BwwallServer(ServerConfig config)
     cache_config.maxBytes = config_.cacheBytes;
     cache_ = std::make_unique<ResultCache>(cache_config,
                                            &metrics_);
-    if (!config_.cachePersistPath.empty()) {
-        std::string error;
-        if (!cache_->loadSnapshot(config_.cachePersistPath,
-                                  &error)) {
-            // A bad snapshot costs warmth, never availability.
-            warn("bwwalld cache: discarded snapshot '",
-                 config_.cachePersistPath, "': ", error);
-        } else if (metrics_.counter("cache.persist.loaded") >
-                   0) {
-            inform("bwwalld cache: restored ",
-                   metrics_.counter("cache.persist.loaded"),
-                   " entr(ies) from '",
-                   config_.cachePersistPath, "'");
-        }
-    }
     IngestConfig ingest_config;
     ingest_config.maxSessions = config_.maxIngestSessions;
     ingest_config.maxSessionBytes = config_.maxSessionBytes;
@@ -187,39 +172,9 @@ BwwallServer::start()
                                 response, prepared);
         });
     reactor_->start();
-    if (!config_.cachePersistPath.empty() &&
-        config_.cachePersistIntervalS > 0.0)
-        persistThread_ =
-            std::thread([this] { persistLoop(); });
     inform("bwwalld listening on ", config_.bindAddress, ":",
            reactor_->port(), " (", threads, " worker",
            threads == 1 ? "" : "s", ")");
-}
-
-void
-BwwallServer::persistCache()
-{
-    std::string error;
-    if (!cache_->saveSnapshot(config_.cachePersistPath, &error))
-        warn("bwwalld cache: snapshot failed: ", error);
-}
-
-void
-BwwallServer::persistLoop()
-{
-    const auto interval =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::duration<double>(
-                config_.cachePersistIntervalS));
-    std::unique_lock<std::mutex> lock(persistMutex_);
-    while (!persistStop_) {
-        if (persistCv_.wait_for(lock, interval,
-                                [this] { return persistStop_; }))
-            break; // the drain takes the final snapshot
-        lock.unlock();
-        persistCache();
-        lock.lock();
-    }
 }
 
 bool
@@ -650,19 +605,6 @@ BwwallServer::join()
     reactor_->join();
     if (drained_.exchange(true))
         return;
-    {
-        std::lock_guard<std::mutex> lock(persistMutex_);
-        persistStop_ = true;
-    }
-    persistCv_.notify_all();
-    if (persistThread_.joinable())
-        persistThread_.join();
-    if (!config_.cachePersistPath.empty()) {
-        // The drain-time snapshot is what makes a SIGTERM restart
-        // warm: every entry the process ever cached is on disk
-        // before the process exits.
-        persistCache();
-    }
     metrics_.setGauge("server.drained", 1.0);
     inform("bwwalld drained: served ", requestCount(),
            " request(s)");

@@ -49,12 +49,10 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 
 #include "server/cluster.hh"
 #include "server/http.hh"
@@ -91,17 +89,6 @@ struct ServerConfig
 
     /** Result-cache shards. */
     std::size_t cacheShards = 16;
-
-    /**
-     * Warm-restart snapshot of the result cache (empty = off).
-     * Loaded on construction (a truncated, corrupt, or
-     * version-mismatched file is discarded with a logged reason),
-     * saved on graceful drain and every cachePersistIntervalS.
-     */
-    std::string cachePersistPath;
-
-    /** Seconds between periodic snapshots (0 = drain-time only). */
-    double cachePersistIntervalS = 0.0;
 
     /** Per-request deadline in milliseconds (0 = none). */
     unsigned deadlineMs = 10000;
@@ -313,12 +300,6 @@ class BwwallServer
     /** True when this request opted into (or is forced into) tracing. */
     bool requestTraced(const HttpRequest &request) const;
 
-    /** One cache snapshot to the configured path (logs failures). */
-    void persistCache();
-
-    /** The periodic snapshot thread body. */
-    void persistLoop();
-
     ServerConfig config_;
     MetricsRegistry metrics_;
     std::unique_ptr<ResultCache> cache_;
@@ -328,11 +309,6 @@ class BwwallServer
 
     mutable std::mutex clusterMutex_;
     std::shared_ptr<Cluster> cluster_;
-
-    std::thread persistThread_;
-    std::mutex persistMutex_;
-    std::condition_variable persistCv_;
-    bool persistStop_ = false;
 
     std::atomic<bool> started_{false};
     std::atomic<bool> drained_{false};

@@ -9,8 +9,9 @@
  * integer-valued double below 1e17 (2^53 included) prints as a
  * plain integer.  It is built on std::to_chars, so it reads no
  * locale, builds no stream, and allocates nothing beyond the
- * caller's string growing.  Cache keys and snapshot files hash and
- * compare these bytes, so the format must never change.
+ * caller's string growing.  Cache keys, and the cluster owner
+ * every node picks for a key, hash and compare these bytes, so the
+ * format must never change.
  */
 
 #ifndef BWWALL_UTIL_NUMBER_TEXT_HH

@@ -23,8 +23,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <future>
 #include <map>
@@ -344,67 +342,6 @@ TEST_F(HttpServerTest, GracefulStopFinishesAndRefusesReconnect)
     HttpClientResponse response;
     std::string error;
     EXPECT_FALSE(late.perform({.target = "/healthz"}, &response, &error));
-}
-
-TEST(HttpServerPersistTest, WarmRestartServesByteIdenticalHits)
-{
-    const char *tmp = std::getenv("TMPDIR");
-    const std::string path =
-        std::string(tmp != nullptr ? tmp : "/tmp") +
-        "/bwwall_warm_restart_" + std::to_string(getpid()) +
-        ".snap";
-    std::remove(path.c_str());
-
-    const std::string body = "{\"alpha\":0.5}";
-    std::string first;
-    {
-        ServerConfig config;
-        config.port = 0;
-        config.threads = 2;
-        config.cachePersistPath = path;
-        BwwallServer server(config);
-        server.start();
-        HttpClient client("127.0.0.1", server.port());
-        HttpClientResponse response;
-        std::string error;
-        ASSERT_TRUE(client.perform(
-            {.method = "POST", .target = "/v1/solve", .body = body},
-            &response, &error))
-            << error;
-        ASSERT_EQ(response.status, 200);
-        first = response.body;
-        // Graceful drain takes the final snapshot.
-        server.stop();
-        EXPECT_GE(
-            server.metrics().counter("cache.persist.saved"),
-            1u);
-    }
-    {
-        ServerConfig config;
-        config.port = 0;
-        config.threads = 2;
-        config.cachePersistPath = path;
-        BwwallServer server(config);
-        EXPECT_GE(
-            server.metrics().counter("cache.persist.loaded"),
-            1u);
-        server.start();
-        HttpClient client("127.0.0.1", server.port());
-        HttpClientResponse response;
-        std::string error;
-        ASSERT_TRUE(client.perform(
-            {.method = "POST", .target = "/v1/solve", .body = body},
-            &response, &error))
-            << error;
-        ASSERT_EQ(response.status, 200);
-        // Byte identity across the restart, and it was a warm
-        // hit, not a recompute.
-        EXPECT_EQ(response.body, first);
-        EXPECT_EQ(server.metrics().counter("cache.hits"), 1u);
-        EXPECT_EQ(server.metrics().counter("cache.misses"), 0u);
-        server.stop();
-    }
-    std::remove(path.c_str());
 }
 
 TEST(HttpServerTraceTest, TraceEndpointIs404WhenTracingIsOff)

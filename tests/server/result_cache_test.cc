@@ -9,14 +9,9 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -499,214 +494,6 @@ TEST(ResultCacheTest, ConcurrentDistinctKeysDoNotCorruptShards)
     for (std::thread &thread : pool)
         thread.join();
     EXPECT_EQ(cache.entryCount(), static_cast<std::size_t>(keys));
-}
-
-/** A unique snapshot path under the test's scratch directory. */
-std::string
-snapshotPath(const std::string &name)
-{
-    const char *dir = std::getenv("TMPDIR");
-    return std::string(dir != nullptr ? dir : "/tmp") +
-           "/bwwall_cache_test_" + name + "_" +
-           std::to_string(::getpid()) + ".snap";
-}
-
-TEST(ResultCacheTest, SnapshotRoundTripsByteIdentically)
-{
-    const std::string path = snapshotPath("roundtrip");
-    MetricsRegistry metrics;
-    ResultCache cache(ResultCacheConfig{}, &metrics);
-    for (int i = 0; i < 20; ++i) {
-        const std::string key = "key" + std::to_string(i);
-        CachedResponse response;
-        response.body =
-            "{\"value\":" + std::to_string(i) + "}\n";
-        response.contentType = i % 2 == 0 ? "application/json"
-                                          : "text/plain";
-        cache.getOrCompute(key, [&] { return response; });
-    }
-    std::string error;
-    ASSERT_TRUE(cache.saveSnapshot(path, &error)) << error;
-    EXPECT_EQ(metrics.counter("cache.persist.saved"), 20u);
-
-    MetricsRegistry restarted_metrics;
-    ResultCache restarted(ResultCacheConfig{},
-                          &restarted_metrics);
-    ASSERT_TRUE(restarted.loadSnapshot(path, &error)) << error;
-    EXPECT_EQ(restarted_metrics.counter("cache.persist.loaded"),
-              20u);
-    EXPECT_EQ(restarted.entryCount(), 20u);
-    // Every restored entry serves as a hit with the exact bytes
-    // (and content type) the pre-restart cache held.
-    for (int i = 0; i < 20; ++i) {
-        const std::string key = "key" + std::to_string(i);
-        const ResultCache::Outcome outcome =
-            restarted.getOrCompute(key, [&]() -> CachedResponse {
-                ADD_FAILURE() << "unexpected compute for " << key;
-                return responseOf("wrong");
-            });
-        EXPECT_TRUE(outcome.hit);
-        EXPECT_EQ(outcome.response->body,
-                  "{\"value\":" + std::to_string(i) + "}\n");
-        EXPECT_EQ(outcome.response->contentType,
-                  i % 2 == 0 ? "application/json" : "text/plain");
-    }
-    std::remove(path.c_str());
-}
-
-TEST(ResultCacheTest, SnapshotPreservesLruOrder)
-{
-    // Budget for roughly three entries; the reloaded cache must
-    // evict the same victim the original would have.
-    ResultCacheConfig config;
-    config.shardCount = 1;
-    config.maxBytes = 3 * (5 + 4 + 16 + 128);
-    const std::string path = snapshotPath("lru");
-    ResultCache cache(config);
-    for (const char *key : {"key-a", "key-b", "key-c"})
-        cache.getOrCompute(key, [] { return responseOf("body"); });
-    // Touch a so b is the LRU entry at save time.
-    cache.getOrCompute("key-a",
-                       [] { return responseOf("wrong"); });
-    std::string error;
-    ASSERT_TRUE(cache.saveSnapshot(path, &error)) << error;
-
-    ResultCache restarted(config);
-    ASSERT_TRUE(restarted.loadSnapshot(path, &error)) << error;
-    int computes = 0;
-    restarted.getOrCompute("key-d", [&] {
-        ++computes;
-        return responseOf("body");
-    });
-    EXPECT_EQ(computes, 1);
-    // b was least recently used before the restart, so it is the
-    // entry d's insertion evicted.
-    restarted.getOrCompute("key-b", [&] {
-        ++computes;
-        return responseOf("body");
-    });
-    EXPECT_EQ(computes, 2);
-    EXPECT_TRUE(restarted
-                    .getOrCompute("key-a",
-                                  [&] {
-                                      ++computes;
-                                      return responseOf("body");
-                                  })
-                    .hit);
-    std::remove(path.c_str());
-}
-
-TEST(ResultCacheTest, MissingSnapshotIsAFreshBoot)
-{
-    MetricsRegistry metrics;
-    ResultCache cache(ResultCacheConfig{}, &metrics);
-    std::string error;
-    EXPECT_TRUE(cache.loadSnapshot(
-        snapshotPath("never_written"), &error));
-    EXPECT_EQ(metrics.counter("cache.persist.loaded"), 0u);
-    EXPECT_EQ(metrics.counter("cache.persist.discarded"), 0u);
-    EXPECT_EQ(cache.entryCount(), 0u);
-}
-
-TEST(ResultCacheTest, TruncatedSnapshotIsDiscardedWholesale)
-{
-    const std::string path = snapshotPath("truncated");
-    ResultCache cache(ResultCacheConfig{});
-    for (int i = 0; i < 8; ++i)
-        cache.getOrCompute("key" + std::to_string(i),
-                           [] { return responseOf("body"); });
-    std::string error;
-    ASSERT_TRUE(cache.saveSnapshot(path, &error)) << error;
-
-    // Chop the file mid-payload: a partial write or torn copy.
-    std::string wire;
-    {
-        std::ifstream in(path, std::ios::binary);
-        std::ostringstream oss;
-        oss << in.rdbuf();
-        wire = oss.str();
-    }
-    {
-        std::ofstream out(path,
-                          std::ios::binary | std::ios::trunc);
-        out.write(wire.data(),
-                  static_cast<std::streamsize>(wire.size() / 2));
-    }
-
-    MetricsRegistry metrics;
-    ResultCache restarted(ResultCacheConfig{}, &metrics);
-    EXPECT_FALSE(restarted.loadSnapshot(path, &error));
-    EXPECT_NE(error.find("truncated"), std::string::npos)
-        << error;
-    EXPECT_EQ(metrics.counter("cache.persist.discarded"), 1u);
-    EXPECT_EQ(restarted.entryCount(), 0u);
-    std::remove(path.c_str());
-}
-
-TEST(ResultCacheTest, CorruptSnapshotFailsItsChecksum)
-{
-    const std::string path = snapshotPath("corrupt");
-    ResultCache cache(ResultCacheConfig{});
-    cache.getOrCompute("key",
-                       [] { return responseOf("payload"); });
-    std::string error;
-    ASSERT_TRUE(cache.saveSnapshot(path, &error)) << error;
-
-    // Flip one payload byte; the header still parses.
-    std::fstream file(path, std::ios::binary | std::ios::in |
-                                std::ios::out);
-    file.seekp(-1, std::ios::end);
-    file.put('X');
-    file.close();
-
-    MetricsRegistry metrics;
-    ResultCache restarted(ResultCacheConfig{}, &metrics);
-    EXPECT_FALSE(restarted.loadSnapshot(path, &error));
-    EXPECT_NE(error.find("checksum"), std::string::npos)
-        << error;
-    EXPECT_EQ(metrics.counter("cache.persist.discarded"), 1u);
-    EXPECT_EQ(restarted.entryCount(), 0u);
-    std::remove(path.c_str());
-}
-
-TEST(ResultCacheTest, VersionMismatchedSnapshotIsDiscarded)
-{
-    const std::string path = snapshotPath("version");
-    ResultCache cache(ResultCacheConfig{});
-    cache.getOrCompute("key",
-                       [] { return responseOf("payload"); });
-    std::string error;
-    ASSERT_TRUE(cache.saveSnapshot(path, &error)) << error;
-
-    // Bump the version field (bytes 8..11, after the magic).
-    std::fstream file(path, std::ios::binary | std::ios::in |
-                                std::ios::out);
-    file.seekp(8, std::ios::beg);
-    file.put('\x7f');
-    file.close();
-
-    MetricsRegistry metrics;
-    ResultCache restarted(ResultCacheConfig{}, &metrics);
-    EXPECT_FALSE(restarted.loadSnapshot(path, &error));
-    EXPECT_NE(error.find("version"), std::string::npos) << error;
-    EXPECT_EQ(metrics.counter("cache.persist.discarded"), 1u);
-    std::remove(path.c_str());
-}
-
-TEST(ResultCacheTest, NonSnapshotFileIsRejectedByMagic)
-{
-    const std::string path = snapshotPath("magic");
-    {
-        std::ofstream out(path, std::ios::binary);
-        out << "this is not a cache snapshot at all";
-    }
-    MetricsRegistry metrics;
-    ResultCache cache(ResultCacheConfig{}, &metrics);
-    std::string error;
-    EXPECT_FALSE(cache.loadSnapshot(path, &error));
-    EXPECT_NE(error.find("magic"), std::string::npos) << error;
-    EXPECT_EQ(metrics.counter("cache.persist.discarded"), 1u);
-    std::remove(path.c_str());
 }
 
 } // namespace
